@@ -4,10 +4,10 @@
 //! every DMA engine) and whose edges connect two nodes that statically
 //! *may* touch the same memory or connection — i.e. that can contend for
 //! ports/bandwidth if scheduled in the same time window. The complement
-//! relation (absence of an edge) is the safety certificate the future
-//! parallel event loop needs: two processors in different independent
-//! groups can be stepped concurrently without observing each other's
-//! machine state.
+//! relation (absence of an edge) partitions the design into independent
+//! groups: two processors in different groups never observe each other's
+//! machine state. This pass is the workspace's only conflict partition;
+//! `simcheck` reports its nodes, edges and groups.
 //!
 //! Resolution is conservative. A node whose resource footprint contains
 //! anything unresolvable is marked *opaque* and conflicts with every other

@@ -3,11 +3,14 @@
 //! The fused backend's contract is *bit identity*: for any program, running
 //! under [`Backend::Fused`] must produce exactly the same simulated state as
 //! [`Backend::Interp`] — cycles, scheduler wakes, interpreted-op counts,
-//! final buffer contents, memory traffic, connection bandwidth — and fail
-//! with the same [`SimError`] kind when the program is broken. This suite
-//! enforces the contract over three surfaces:
+//! spawned events, peak live tensor bytes, final buffer contents, memory
+//! traffic, connection bandwidth — and fail with the same [`SimError`] kind
+//! when the program is broken. This suite enforces the contract over three
+//! surfaces:
 //!
-//! 1. every golden benchmark scenario (`BENCH_engine.json` rows);
+//! 1. every golden benchmark scenario: the shared
+//!    `equeue_gen::scenarios::golden_scenarios()` set plus this file's
+//!    debug-sized variants (`BENCH_engine.json` rows);
 //! 2. the fault-injection matrix (perturbed-but-structured programs);
 //! 3. a malformed-IR fuzzer corpus (hostile text through the full
 //!    parse → compile → simulate pipeline).
@@ -62,6 +65,14 @@ fn assert_reports_identical(name: &str, fused: &SimReport, interp: &SimReport) {
         "{name}: events"
     );
     assert_eq!(fused.ops_interpreted, interp.ops_interpreted, "{name}: ops");
+    assert_eq!(
+        fused.events_spawned, interp.events_spawned,
+        "{name}: spawned"
+    );
+    assert_eq!(
+        fused.peak_live_tensor_bytes, interp.peak_live_tensor_bytes,
+        "{name}: peak live bytes"
+    );
     assert_eq!(fused.buffers, interp.buffers, "{name}: buffer contents");
     assert_eq!(fused.memories, interp.memories, "{name}: memory traffic");
     assert_eq!(
@@ -79,9 +90,9 @@ fn differential(name: &str, module: &Module) {
     assert_reports_identical(name, &fused, &interp);
 }
 
-/// The golden scenarios: the same module builders the benchmark binary
-/// feeds into `BENCH_engine.json`, at sizes small enough for debug-mode CI.
-fn golden_scenarios() -> Vec<(&'static str, Module)> {
+/// Debug-sized variants of the benchmark binary's module builders
+/// (`BENCH_engine.json` rows), complementing the shared golden set.
+fn small_scenarios() -> Vec<(&'static str, Module)> {
     vec![
         ("matmul8_linalg", scenarios::matmul_linalg(8)),
         ("matmul4_affine", scenarios::matmul_affine(4)),
@@ -134,8 +145,11 @@ fn golden_scenarios() -> Vec<(&'static str, Module)> {
 
 #[test]
 fn golden_scenarios_are_bit_identical_across_backends() {
-    for (name, module) in golden_scenarios() {
+    for (name, module) in small_scenarios() {
         differential(name, &module);
+    }
+    for s in scenarios::golden_scenarios() {
+        differential(s.name, &s.module);
     }
 }
 
