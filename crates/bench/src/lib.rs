@@ -2,9 +2,10 @@
 //!
 //! One driver per table/figure of the paper's evaluation (see DESIGN.md's
 //! experiment index). Binaries under `src/bin/` print the same rows/series
-//! the paper reports; Criterion benches under `benches/` measure the
-//! simulator itself. The drivers live here so binaries, benches, and
-//! integration tests share one implementation.
+//! the paper reports. The drivers live here so binaries and integration
+//! tests share one implementation. Wall time is measured end to end, layer
+//! by layer, by the separate `perfbench` workspace; simulated counters are
+//! pinned by the integration tests (`tests/golden_cycles.rs`).
 //!
 //! Sweeps over independent configurations ([`fig12_sweep`], [`fir_rows`])
 //! shard their points across the std-thread worker pool in [`pool`]; the
@@ -253,7 +254,7 @@ pub struct Fig12Row {
     /// The paper's loop-iteration count `⌈D1/Ah⌉·⌈D2/Aw⌉`.
     pub loop_iterations: usize,
     /// Scheduler wakes of the EQueue simulation (determinism guard: the
-    /// bench aggregates these across the sweep).
+    /// golden tests pin their sum across the sweep).
     pub events_processed: u64,
     /// Ops interpreted by the EQueue simulation (determinism guard).
     pub ops_interpreted: u64,
@@ -386,24 +387,9 @@ pub fn fig12_sweep(full: bool) -> Vec<Fig12Row> {
 /// configuration order with bit-identical cycles/events/ops at any job
 /// count.
 pub fn fig12_sweep_jobs(full: bool, jobs: usize) -> Vec<Fig12Row> {
-    fig12_sweep_jobs_backend(full, jobs, Backend::default())
-}
-
-/// [`fig12_sweep_jobs`] under an explicit execution backend. Cycles, wakes,
-/// and interpreted-op counts are bit-identical across backends (the fused
-/// trace runner's contract); only wall-clock differs.
-pub fn fig12_sweep_jobs_backend(full: bool, jobs: usize, backend: Backend) -> Vec<Fig12Row> {
     let configs = fig12_configs(full);
-    pool::run_batch(jobs, &configs, move |&(ah, hw, f, c, n, df)| {
-        let opts = SimOptions {
-            trace: false,
-            backend,
-            ..Default::default()
-        };
-        match try_fig12_point(ah, hw, f, c, n, df, &opts) {
-            Ok(row) => row,
-            Err(e) => panic!("simulation failed: {e}"),
-        }
+    pool::run_batch(jobs, &configs, |&(ah, hw, f, c, n, df)| {
+        fig12_point(ah, hw, f, c, n, df)
     })
 }
 
@@ -493,155 +479,21 @@ pub fn fir_rows_jobs(jobs: usize) -> Vec<FirRow> {
     })
 }
 
-// ---------------------------------------------------------------------------
-// Engine benchmark scenarios (`src/bin/bench.rs`, BENCH_engine.json)
-// ---------------------------------------------------------------------------
-
-/// Module builders for the engine benchmark binary.
+/// Module builders for the golden engine workloads.
 ///
 /// Moved to `equeue_gen::scenarios` so the static-analysis crate can reach
 /// them without depending on the bench harness; re-exported here to keep
 /// `equeue_bench::scenarios::` paths working.
 pub use equeue_gen::scenarios;
 
-// ---------------------------------------------------------------------------
-// Self-contained timing harness
-// ---------------------------------------------------------------------------
-
-/// A minimal wall-clock timing harness shared by the `benches/` targets and
-/// the `bench` binary.
-///
-/// The workspace intentionally carries zero external dependencies (the build
-/// environment is offline), so instead of Criterion each bench target is a
-/// plain `main` that calls [`timing::time`]: warm up once, run a fixed
-/// iteration budget, report best/mean wall time. Deterministic enough for
-/// trend tracking in `BENCH_engine.json`; not a statistical framework.
-pub mod timing {
-    use std::time::Instant;
-
-    /// Untimed warm-up iterations before measurement begins. The first few
-    /// runs of a scenario pay one-off costs (allocator growth, page faults,
-    /// branch-predictor training) that made short benches like
-    /// `fir_balanced4` report means several times their steady-state best;
-    /// a fixed warm-up burst drains those before the clock starts.
-    pub const WARMUP_ITERS: u32 = 3;
-
-    /// One measured benchmark case.
-    #[derive(Debug, Clone)]
-    pub struct Sample {
-        /// Case name (`"fig09/equeue_16x16_ws"`).
-        pub name: String,
-        /// Iterations measured (after the warm-up burst).
-        pub iters: u32,
-        /// Fastest single-iteration wall time, milliseconds.
-        pub best_ms: f64,
-        /// Mean single-iteration wall time, milliseconds.
-        pub mean_ms: f64,
-        /// Median single-iteration wall time, milliseconds. Robust to the
-        /// occasional scheduling hiccup that skews the mean.
-        pub median_ms: f64,
-    }
-
-    impl Sample {
-        /// One formatted report row.
-        pub fn row(&self) -> String {
-            format!(
-                "{:<40} {:>5} iters   best {:>10.3} ms   median {:>10.3} ms   mean {:>10.3} ms",
-                self.name, self.iters, self.best_ms, self.median_ms, self.mean_ms
-            )
-        }
-    }
-
-    /// Median of a sample list (mean of the middle pair for even lengths).
-    fn median(samples: &mut [f64]) -> f64 {
-        if samples.is_empty() {
-            return 0.0;
-        }
-        samples.sort_by(f64::total_cmp);
-        let mid = samples.len() / 2;
-        if samples.len() % 2 == 1 {
-            samples[mid]
-        } else {
-            (samples[mid - 1] + samples[mid]) / 2.0
-        }
-    }
-
-    /// Times `f` over `iters` iterations (after [`WARMUP_ITERS`] untimed
-    /// warm-ups) and prints the report row.
-    pub fn time<R>(name: &str, iters: u32, mut f: impl FnMut() -> R) -> Sample {
-        let iters = iters.max(1);
-        for _ in 0..WARMUP_ITERS {
-            std::hint::black_box(f());
-        }
-        let mut best = f64::INFINITY;
-        let mut total = 0.0;
-        let mut all = Vec::with_capacity(iters as usize);
-        for _ in 0..iters {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            let ms = t0.elapsed().as_secs_f64() * 1e3;
-            best = best.min(ms);
-            total += ms;
-            all.push(ms);
-        }
-        let sample = Sample {
-            name: name.to_string(),
-            iters,
-            best_ms: best,
-            mean_ms: total / f64::from(iters),
-            median_ms: median(&mut all),
-        };
-        println!("{}", sample.row());
-        sample
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn timing_reports_positive_times() {
-        let s = timing::time("noop", 3, || 1 + 1);
-        assert_eq!(s.iters, 3);
-        assert!(s.best_ms >= 0.0 && s.mean_ms >= s.best_ms);
-        assert!(s.median_ms >= s.best_ms && s.median_ms <= s.mean_ms * 3.0 + f64::EPSILON);
-    }
-
-    #[test]
     fn fig09_equeue_tracks_scalesim() {
-        for row in fig09_ifmap_sweep() {
-            assert!(
-                row.cycle_error() < 0.02,
-                "{}: equeue {} vs scalesim {}",
-                row.label,
-                row.equeue_cycles,
-                row.scalesim_cycles
-            );
-        }
-    }
-
-    #[test]
-    fn fig12_small_sweep_consistent() {
-        let rows = fig12_sweep(false);
-        assert!(rows.len() > 100, "sweep too small: {}", rows.len());
-        for r in &rows {
-            let err = (r.cycles as f64 - r.scalesim_cycles as f64).abs()
-                / r.scalesim_cycles.max(1) as f64;
-            assert!(
-                err < 0.05,
-                "ah={} hw={} f={} c={} n={} {:?}: {} vs {}",
-                r.ah,
-                r.hw,
-                r.f,
-                r.c,
-                r.n,
-                r.dataflow,
-                r.cycles,
-                r.scalesim_cycles
-            );
-            // Cycles are proportional to loop iterations (Fig. 12c–e).
-            assert!(r.cycles as usize >= r.loop_iterations);
+        for row in fig09_ifmap_sweep().into_iter().chain(fig09_weight_sweep()) {
+            assert_eq!(row.equeue_cycles, row.scalesim_cycles, "{}", row.label);
         }
     }
 

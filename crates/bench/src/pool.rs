@@ -45,7 +45,7 @@ pub fn resolve_jobs(requested: usize) -> usize {
     }
 }
 
-/// Parses the value token following a `--jobs` flag for the bench binaries
+/// Parses the value token following a `--jobs` flag for the figure binaries
 /// (`program` names the binary in the diagnostic). The parsed count follows
 /// the [`resolve_jobs`] convention: `0` means "use the machine's available
 /// parallelism". **Exits the process with status 2** on a missing or

@@ -10,7 +10,8 @@
 //!
 //! 1. every golden benchmark scenario: the shared
 //!    `equeue_gen::scenarios::golden_scenarios()` set plus this file's
-//!    debug-sized variants (`BENCH_engine.json` rows);
+//!    debug-sized variants of the counter-pinned workloads in
+//!    `tests/golden_cycles.rs`;
 //! 2. the fault-injection matrix (perturbed-but-structured programs);
 //! 3. a malformed-IR fuzzer corpus (hostile text through the full
 //!    parse → compile → simulate pipeline).
@@ -90,8 +91,8 @@ fn differential(name: &str, module: &Module) {
     assert_reports_identical(name, &fused, &interp);
 }
 
-/// Debug-sized variants of the benchmark binary's module builders
-/// (`BENCH_engine.json` rows), complementing the shared golden set.
+/// Debug-sized variants of the counter-pinned workloads in
+/// `tests/golden_cycles.rs`, complementing the shared golden set.
 fn small_scenarios() -> Vec<(&'static str, Module)> {
     vec![
         ("matmul8_linalg", scenarios::matmul_linalg(8)),
@@ -261,6 +262,7 @@ fn fault_matrix_outcomes_agree_across_backends() {
             }],
         ),
         ("drop-operand", vec![Fault::DropOperand { nth: 0 }]),
+        ("drop-third-operand", vec![Fault::DropOperand { nth: 2 }]),
         ("zero-loop-step", vec![Fault::ZeroLoopStep { nth: 0 }]),
         (
             "ext-op-small-latency",
@@ -300,10 +302,23 @@ fn fault_matrix_outcomes_agree_across_backends() {
             ],
         ),
     ];
-    for (name, faults) in matrix {
-        let mut m = fault_target();
-        apply_faults(&mut m, &faults);
-        assert_outcomes_agree(name, &m);
+    // Perturb the fixture plus a Linalg-level, an affine-loop and an
+    // ext-op-heavy scenario, so each fault kind meets ops it can land on.
+    let targets = [
+        ("fault_target", fault_target()),
+        ("matmul8_linalg", scenarios::matmul_linalg(8)),
+        ("matmul4_affine", scenarios::matmul_affine(4)),
+        (
+            "fir_single_core",
+            generate_fir(FirSpec::default(), FirCase::SingleCore).module,
+        ),
+    ];
+    for (target, module) in &targets {
+        for (name, faults) in &matrix {
+            let mut m = module.clone();
+            apply_faults(&mut m, faults);
+            assert_outcomes_agree(&format!("{name} on {target}"), &m);
+        }
     }
 }
 

@@ -228,15 +228,6 @@ impl CompiledModule {
         &self.module
     }
 
-    /// The prepass facts for this module: decoded components, memory
-    /// timing models, connection tables, and per-loop fusion verdicts —
-    /// the static-analysis view of the captured [`Plan`]. Pure data; cheap
-    /// relative to compilation (it re-walks the decoded op table, not the
-    /// IR attribute maps).
-    pub fn facts(&self) -> crate::PrepassFacts {
-        crate::facts::facts_from_plan(&self.module, &self.plan, &self.library)
-    }
-
     /// The captured simulator library.
     pub fn library(&self) -> &SimLibrary {
         &self.library

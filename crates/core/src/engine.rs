@@ -88,8 +88,8 @@ pub enum Backend {
     /// per-op events and therefore interprets op by op.
     #[default]
     Fused,
-    /// Pure op-by-op interpretation — the escape hatch (`--backend interp`
-    /// in the bench harness) and the reference for differential testing.
+    /// Pure op-by-op interpretation — the escape hatch and the reference
+    /// for differential testing.
     Interp,
 }
 
@@ -175,9 +175,8 @@ pub fn simulate_with(
     library: &SimLibrary,
     options: &SimOptions,
 ) -> Result<SimReport, SimError> {
-    let start = Instant::now();
     let plan = Plan::build(module, library);
-    run_with_plan(module, &plan, library, options, start)
+    run_with_plan(module, &plan, library, options, Instant::now())
 }
 
 /// Executes a module against an already-built [`Plan`]: the compile-once /

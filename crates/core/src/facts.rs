@@ -9,19 +9,14 @@
 //! static-analysis crate (`equeue-analysis`) and its `simcheck` binary can
 //! consume them without reaching into engine internals.
 //!
-//! Two entry points:
-//!
-//! * [`CompiledModule::facts`](crate::CompiledModule::facts) — from an
-//!   already-compiled (strictly validated) handle, reusing its plan.
-//! * [`analyze_facts`] — **lenient**: builds a fresh plan and reports
-//!   malformed ops as data ([`InvalidOpFact`]) instead of failing, so the
-//!   analyzer can diagnose fuzzer-malformed IR that
-//!   [`crate::CompiledModule::compile`] would reject.
+//! The entry point, [`analyze_facts`], is **lenient**: it builds a fresh
+//! plan and skips malformed ops instead of failing, so the analyzer can
+//! diagnose fuzzer-malformed IR that [`crate::CompiledModule::compile`]
+//! would reject.
 
 use crate::engine::{OpCode, Plan};
 use crate::fused::FuseDecline;
 use crate::library::{MemSpec, SimLibrary};
-use equeue_dialect::ConnKind;
 use equeue_ir::{BlockId, Module, OpId};
 
 /// Whether (and how) an `affine.for` body compiled to a fused trace.
@@ -107,51 +102,6 @@ pub struct MemFact {
     pub ports: usize,
 }
 
-/// One `equeue.create_connection` op.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConnFact {
-    /// The defining op.
-    pub op: OpId,
-    /// Connection kind.
-    pub kind: ConnKind,
-    /// Bandwidth in bytes/cycle (`0` = unlimited).
-    pub bandwidth: u64,
-}
-
-/// One `equeue.op` site, with the cycle cost the prepass resolved.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExtOpFact {
-    /// The op.
-    pub op: OpId,
-    /// External-op signature (`"mac4"`, …).
-    pub sig: String,
-    /// Resolved cycle cost; `None` means no library implementation and no
-    /// explicit override — a [`crate::SimError::Unsupported`] if executed.
-    pub cycles: Option<u64>,
-}
-
-/// One op that failed to decode (would raise [`crate::SimError::Layout`]
-/// if executed).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InvalidOpFact {
-    /// The op.
-    pub op: OpId,
-    /// The op's name.
-    pub name: String,
-    /// The decoder's message.
-    pub msg: String,
-}
-
-/// One op the engine does not model (would raise
-/// [`crate::SimError::Unsupported`] if executed).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnsupportedOpFact {
-    /// The op.
-    pub op: OpId,
-    /// The op's name.
-    pub name: String,
-}
-
 /// Everything the layout prepass statically knows about a module, in op
 /// order (deterministic across runs and thread counts — the prepass is a
 /// pure function of the module and library).
@@ -161,29 +111,16 @@ pub struct PrepassFacts {
     pub procs: Vec<ProcFact>,
     /// Memories, with resolved timing models.
     pub mems: Vec<MemFact>,
-    /// Connections.
-    pub conns: Vec<ConnFact>,
-    /// External-op sites.
-    pub ext_ops: Vec<ExtOpFact>,
     /// `affine.for` loops with fusion verdicts.
     pub loops: Vec<LoopFact>,
-    /// Ops that failed to decode — *all* of them, unlike the strict
-    /// compile path which reports only the first.
-    pub invalid_ops: Vec<InvalidOpFact>,
-    /// Ops the engine does not model.
-    pub unsupported_ops: Vec<UnsupportedOpFact>,
 }
 
 /// Builds [`PrepassFacts`] by running the layout prepass **leniently**:
-/// malformed ops become [`InvalidOpFact`] entries instead of errors, so the
-/// analyzer can produce typed diagnostics for IR that
-/// [`crate::CompiledModule::compile`] rejects. Never panics.
-pub fn analyze_facts(module: &Module, library: &SimLibrary) -> PrepassFacts {
-    let plan = Plan::build(module, library);
-    facts_from_plan(module, &plan, library)
-}
-
-pub(crate) fn facts_from_plan(module: &Module, plan: &Plan, lib: &SimLibrary) -> PrepassFacts {
+/// malformed ops are skipped instead of failing, so the analyzer can
+/// produce typed diagnostics for IR that [`crate::CompiledModule::compile`]
+/// rejects. Never panics.
+pub fn analyze_facts(module: &Module, lib: &SimLibrary) -> PrepassFacts {
+    let plan = Plan::build(module, lib);
     let mut facts = PrepassFacts::default();
     for op in module.live_ops() {
         let Some(info) = plan.ops.get(op.index()) else {
@@ -230,16 +167,6 @@ pub(crate) fn facts_from_plan(module: &Module, plan: &Plan, lib: &SimLibrary) ->
                     ports: ports.unwrap_or(lib.default_mem_ports),
                 });
             }
-            OpCode::CreateConnection { kind, bandwidth } => facts.conns.push(ConnFact {
-                op,
-                kind: *kind,
-                bandwidth: *bandwidth,
-            }),
-            OpCode::ExtOp { sig, cycles } => facts.ext_ops.push(ExtOpFact {
-                op,
-                sig: sig.clone(),
-                cycles: *cycles,
-            }),
             OpCode::For {
                 lower,
                 upper,
@@ -270,15 +197,6 @@ pub(crate) fn facts_from_plan(module: &Module, plan: &Plan, lib: &SimLibrary) ->
                     verdict,
                 });
             }
-            OpCode::Invalid { op: name, msg } => facts.invalid_ops.push(InvalidOpFact {
-                op,
-                name: name.clone(),
-                msg: msg.clone(),
-            }),
-            OpCode::Unsupported(name) => facts.unsupported_ops.push(UnsupportedOpFact {
-                op,
-                name: name.clone(),
-            }),
             _ => {}
         }
     }
@@ -332,7 +250,6 @@ mod tests {
             facts.loops[0].verdict,
             FuseVerdict::Fused { insts } if insts >= 4
         ));
-        assert!(facts.invalid_ops.is_empty());
     }
 
     #[test]
@@ -387,25 +304,5 @@ mod tests {
             .iter()
             .any(|l| matches!(l.verdict, FuseVerdict::Fused { .. })));
         let _ = outer;
-    }
-
-    #[test]
-    fn invalid_ops_are_all_reported() {
-        let mut m = Module::new();
-        let blk = m.top_block();
-        // Two malformed launches (no operands): the strict compile path
-        // reports only the first; facts must list both.
-        for _ in 0..2 {
-            let op = m.create_op(
-                "equeue.launch",
-                vec![],
-                vec![Type::Signal],
-                Default::default(),
-                vec![],
-            );
-            m.append_op(blk, op);
-        }
-        let facts = analyze_facts(&m, &SimLibrary::standard());
-        assert_eq!(facts.invalid_ops.len(), 2);
     }
 }

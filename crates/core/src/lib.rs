@@ -54,7 +54,7 @@
 //! None of this changes simulated timing: cycle counts, event counts, and
 //! interpreted-op counts are bit-identical to the original
 //! `HashMap`-environment interpreter (enforced by the golden cycle-count
-//! tests and the `BENCH_engine.json` determinism guards).
+//! tests, which also pin event and op counts under both backends).
 //!
 //! ## Example
 //!
@@ -109,10 +109,7 @@ mod value;
 pub use compiled::CompiledModule;
 pub use engine::{simulate, simulate_with, Backend, SimOptions};
 pub use error::{CancelToken, LimitExceeded, LimitKind, Progress, RunLimits, SimError};
-pub use facts::{
-    analyze_facts, ConnFact, ExtOpFact, FuseVerdict, InvalidOpFact, LoopFact, MemFact,
-    PrepassFacts, ProcFact, UnsupportedOpFact,
-};
+pub use facts::{analyze_facts, FuseVerdict, LoopFact, MemFact, PrepassFacts, ProcFact};
 pub use fused::FuseDecline;
 pub use interp::{apply_binary, apply_cmpi, conv2d_int, matmul_int};
 pub use library::{ExtOp, MemFactory, MemSpec, SimLibrary};

@@ -62,7 +62,9 @@ pub struct MemReport {
 pub struct SimReport {
     /// Simulated runtime in cycles.
     pub cycles: u64,
-    /// Wall-clock time the simulation took.
+    /// Wall-clock time of the run only: the clock starts after the layout
+    /// prepass ([`crate::CompiledModule::compile`] or the one inside
+    /// [`crate::simulate_with`]), so compilation is never included.
     pub execution_time: Duration,
     /// Number of engine events processed (scheduler wakes).
     pub events_processed: u64,

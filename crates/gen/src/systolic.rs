@@ -448,9 +448,7 @@ mod tests {
         let dims = ConvDims::square(8, 2, 3, 4);
         let prog = generate_systolic(&spec, dims);
         let report = simulate(&prog.module).unwrap();
-        let expect = analytical_cycles(&spec, dims);
-        let err = (report.cycles as f64 - expect as f64).abs() / expect as f64;
-        assert!(err < 0.05, "got {} expected {expect}", report.cycles);
+        assert_eq!(report.cycles, analytical_cycles(&spec, dims));
     }
 
     #[test]
