@@ -498,6 +498,22 @@ mod tests {
     }
 
     #[test]
+    fn fig12_small_sweep_consistent() {
+        let rows = fig12_sweep(false);
+        assert_eq!(rows.len(), 216);
+        for r in &rows {
+            // Paper fidelity: every point matches the SCALE-Sim model exactly.
+            assert_eq!(
+                r.cycles, r.scalesim_cycles,
+                "ah={} hw={} f={} c={} n={} {:?}",
+                r.ah, r.hw, r.f, r.c, r.n, r.dataflow
+            );
+            // Cycles are proportional to loop iterations (Fig. 12c–e).
+            assert!(r.cycles as usize >= r.loop_iterations);
+        }
+    }
+
+    #[test]
     fn sweep_points_identical_at_any_job_count() {
         // A slice of the sweep, sequential vs pooled: same rows, same order,
         // same determinism counters.
