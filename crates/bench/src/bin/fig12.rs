@@ -9,6 +9,9 @@
 //! is a representative subsample. `--jobs N` shards the independent
 //! simulations across N worker threads (default: all cores; results and
 //! row order are bit-identical at any width).
+//!
+//! Exits with status 1, listing the offending points on stderr, if any
+//! point's EQueue cycles differ from the SCALE-Sim model's.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -107,4 +110,30 @@ fn main() {
     }
     let total_time: std::time::Duration = rows.iter().map(|r| r.execution_time).sum();
     println!("\ntotal simulation wall-clock: {total_time:.1?}");
+
+    let mismatches: Vec<&Fig12Row> = rows
+        .iter()
+        .filter(|r| r.cycles != r.scalesim_cycles)
+        .collect();
+    if !mismatches.is_empty() {
+        eprintln!(
+            "fig12: {} of {} points differ from SCALE-Sim:",
+            mismatches.len(),
+            rows.len()
+        );
+        for r in mismatches {
+            eprintln!(
+                "  ah={} hw={} f={} c={} n={} {}: {} cycles, SCALE-Sim {}",
+                r.ah,
+                r.hw,
+                r.f,
+                r.c,
+                r.n,
+                r.dataflow.as_str(),
+                r.cycles,
+                r.scalesim_cycles
+            );
+        }
+        std::process::exit(1);
+    }
 }

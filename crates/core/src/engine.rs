@@ -36,9 +36,10 @@
 //!   parsed attribute views (`launch`/`memcpy`/`read`/`write` segments,
 //!   loop bounds, constants, external-op cycle counts) — so the inner loop
 //!   dispatches on a plain enum and never touches strings or attribute
-//!   maps. Ops that fail to decode become [`OpCode::Invalid`] and only
-//!   error if actually executed, preserving the lazy semantics of the
-//!   original interpreter.
+//!   maps (only memory elaboration, tracing and error messages read the
+//!   module's attributes). Ops that fail to decode become
+//!   [`OpCode::Invalid`] and only error if actually executed, preserving
+//!   the lazy semantics of the original interpreter.
 //! * Each `equeue.launch` gets a pre-computed **capture map**: exactly the
 //!   values its body (transitively) references, as parent-slot → child-slot
 //!   pairs. Spawning an event copies just those — with copy-on-write
@@ -63,7 +64,7 @@ pub use crate::{CancelToken, RunLimits, SimError};
 use equeue_dialect::{
     conv2d_dims, launch_view, memcpy_view, read_view, write_view, ConnKind, ConvDims,
 };
-use equeue_ir::{AttrMap, BlockId, Module, OpId, RegionId, Type, ValueId};
+use equeue_ir::{BlockId, Module, OpId, OpKind, OpName, RegionId, Type, ValueId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::time::Instant;
@@ -386,7 +387,10 @@ pub(crate) struct LaunchInfo {
 
 /// One op, pre-decoded: operand/result slots plus parsed attributes.
 /// Decoding happens once per module in [`Plan::build`]; execution dispatches
-/// on this enum without touching op names or attribute maps.
+/// on this enum without touching op names or attribute maps. The decoded
+/// form borrows nothing and copies no strings it does not need: whatever
+/// only a rare path reads (a memory's full attribute map, an `equeue.op`
+/// signature) is read back from the module by that path.
 #[derive(Debug)]
 pub(crate) enum OpCode {
     /// Erased op, or an op unreachable by execution: skip.
@@ -401,7 +405,6 @@ pub(crate) enum OpCode {
         data_bits: u32,
         banks: u32,
         ports: Option<usize>,
-        attrs: AttrMap,
     },
     CreateDma,
     CreateComp {
@@ -478,8 +481,9 @@ pub(crate) enum OpCode {
     },
     /// `equeue.op`; `cycles` is `None` when the signature has no library
     /// implementation and no explicit override — an error *if executed*.
+    /// The signature itself stays in the module's attributes: only the
+    /// error path and tracing read it.
     ExtOp {
-        sig: String,
         cycles: Option<u64>,
     },
     // ---- loops ----
@@ -533,7 +537,7 @@ pub(crate) enum OpCode {
     /// tensor/error slow path.
     Binary {
         kind: Option<BinOp>,
-        name: String,
+        name: OpName,
         lhs: Slot,
         rhs: Slot,
         index_typed: bool,
@@ -543,12 +547,12 @@ pub(crate) enum OpCode {
     /// no materialisable definition). Raises [`SimError::Layout`] if
     /// executed.
     Invalid {
-        op: String,
+        op: OpName,
         msg: String,
     },
     /// An op name the engine does not model. Raises `Unsupported` if
     /// executed.
-    Unsupported(String),
+    Unsupported(OpName),
 }
 
 /// Pre-decoded form of one op.
@@ -560,7 +564,7 @@ pub(crate) struct OpInfo {
 }
 
 /// Value numbering of one frame scope.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ScopeLayout {
     /// Environment length (number of slots).
     len: usize,
@@ -600,6 +604,19 @@ struct ScopeTmp {
     used: Vec<ValueId>,
 }
 
+impl ScopeTmp {
+    fn new(root: RegionId) -> Self {
+        ScopeTmp {
+            root,
+            blocks: vec![],
+            ops: vec![],
+            children: vec![],
+            defined: vec![],
+            used: vec![],
+        }
+    }
+}
+
 impl Plan {
     /// The first structurally-invalid decoded op, if any: `(name, message)`.
     /// Used by [`crate::CompiledModule::compile`] to reject malformed
@@ -614,19 +631,15 @@ impl Plan {
 
     /// The one-shot layout prepass. Infallible: malformed ops decode to
     /// [`OpCode::Invalid`] and only fail if executed. Linear in the module
-    /// size (dense arrays indexed by value id, no per-event work).
+    /// size (dense arrays indexed by value and region id, no per-event
+    /// work).
     pub(crate) fn build(module: &Module, lib: &SimLibrary) -> Plan {
         // -- 1. Scope discovery: the top region plus every launch body.
-        let mut tmp: Vec<ScopeTmp> = vec![ScopeTmp {
-            root: module.top_region(),
-            blocks: vec![],
-            ops: vec![],
-            children: vec![],
-            defined: vec![],
-            used: vec![],
-        }];
-        let mut scope_of_root: HashMap<RegionId, usize> = HashMap::new();
-        scope_of_root.insert(module.top_region(), 0);
+        // `scope_of_root` maps a launch body region (by `RegionId::index()`)
+        // to its scope.
+        let mut tmp: Vec<ScopeTmp> = vec![ScopeTmp::new(module.top_region())];
+        let mut scope_of_root: Vec<u32> = vec![NO_SCOPE; module.num_regions()];
+        scope_of_root[module.top_region().index()] = 0;
         let mut i = 0;
         while i < tmp.len() {
             let root = tmp[i].root;
@@ -634,16 +647,9 @@ impl Plan {
             collect_scope(module, root, &mut blocks, &mut ops, &mut child_regions);
             for r in child_regions {
                 let idx = tmp.len();
-                scope_of_root.insert(r, idx);
+                scope_of_root[r.index()] = idx as u32;
                 tmp[i].children.push(idx);
-                tmp.push(ScopeTmp {
-                    root: r,
-                    blocks: vec![],
-                    ops: vec![],
-                    children: vec![],
-                    defined: vec![],
-                    used: vec![],
-                });
+                tmp.push(ScopeTmp::new(r));
             }
             tmp[i].blocks = blocks;
             tmp[i].ops = ops;
@@ -653,7 +659,6 @@ impl Plan {
 
         // -- 2. Defined/used per scope. Every value is defined in at most
         // one scope; `def_scope` is a dense module-wide map of it.
-        const NO_SCOPE: u32 = u32::MAX;
         let mut def_scope: Vec<u32> = vec![NO_SCOPE; module.num_values()];
         for (s, t) in tmp.iter_mut().enumerate() {
             for &b in &t.blocks {
@@ -676,54 +681,82 @@ impl Plan {
         // value is free in a scope if the scope — or any launch nested in
         // it — uses it without defining it. Free vars of children must get
         // slots here too, so the child's spawn can capture them from this
-        // frame.
+        // frame. A value no scope defines (e.g. a result of an erased op)
+        // is free nowhere: it gets no slot, and its users decode to
+        // `OpCode::Invalid`.
+        let defined_elsewhere = |v: &ValueId, s: usize| {
+            let d = def_scope.get(v.index()).copied().unwrap_or(NO_SCOPE);
+            d != s as u32 && d != NO_SCOPE
+        };
         let mut free: Vec<Vec<ValueId>> = vec![vec![]; n];
         for s in (0..n).rev() {
             let mut f: Vec<ValueId> = tmp[s]
                 .used
                 .iter()
                 .copied()
-                .filter(|v| def_scope[v.index()] != s as u32)
+                .filter(|v| defined_elsewhere(v, s))
                 .collect();
             for &c in &tmp[s].children {
-                f.extend(free[c].iter().filter(|v| def_scope[v.index()] != s as u32));
+                f.extend(free[c].iter().filter(|v| defined_elsewhere(v, s)));
             }
             f.sort_unstable();
             f.dedup();
             free[s] = f;
         }
 
-        // -- 4. Slot assignment: defined ∪ free, ordered by ValueId for
-        // determinism. The sorted layout doubles as the slot map (binary
-        // search at decode time — no per-scope hash maps).
-        let mut scopes: Vec<ScopeLayout> = Vec::with_capacity(n);
-        for s in 0..n {
-            let mut vals: Vec<ValueId> = Vec::with_capacity(tmp[s].defined.len() + free[s].len());
-            vals.extend(tmp[s].defined.iter().copied());
-            vals.extend(free[s].iter().copied());
-            vals.sort_unstable();
-            vals.dedup();
-            scopes.push(ScopeLayout {
-                len: vals.len(),
-                values: vals,
-            });
-        }
-
-        // -- 5. Op decode. Ops outside every scope (inside erased ops)
-        // stay `Erased`: they can never execute.
+        // -- 4. Slot assignment and op decode, one scope at a time and
+        // bottom-up, so a launch finds its body scope already laid out. A
+        // scope's slots are its defined ∪ free values, ordered by ValueId
+        // for determinism. `slot_of` is one dense module-wide value → slot
+        // table: filled for a scope before its ops are decoded and reset
+        // afterwards. Ops outside every scope (inside erased ops) stay
+        // `Erased`: they can never execute.
+        let mut slot_of: Vec<Slot> = vec![NO_SLOT; module.num_values()];
+        let mut scopes: Vec<ScopeLayout> = (0..n).map(|_| ScopeLayout::default()).collect();
+        let mut bodies: Vec<BodySlots> = (0..n).map(|_| BodySlots::default()).collect();
         let mut ops: Vec<OpInfo> = (0..module.num_ops())
             .map(|_| OpInfo {
                 code: OpCode::Erased,
                 results: vec![],
             })
             .collect();
-        for (s, t) in tmp.iter().enumerate() {
-            for &op in &t.ops {
-                ops[op.index()] = decode_op(module, lib, op, s, &scopes, &free, &scope_of_root);
+        for s in (0..n).rev() {
+            let t = &tmp[s];
+            let mut vals: Vec<ValueId> = Vec::with_capacity(t.defined.len() + free[s].len());
+            vals.extend(t.defined.iter().copied());
+            vals.extend(free[s].iter().copied());
+            vals.sort_unstable();
+            vals.dedup();
+            for (i, v) in vals.iter().enumerate() {
+                slot_of[v.index()] = i as Slot;
             }
+            let entry_args = match module.region(t.root).blocks.first() {
+                Some(&b) => module.block(b).args.as_slice(),
+                None => &[],
+            };
+            bodies[s] = BodySlots {
+                free: free[s].iter().map(|v| slot_of[v.index()]).collect(),
+                args: entry_args.iter().map(|v| slot_of[v.index()]).collect(),
+                len: vals.len(),
+            };
+            let launch = LaunchCx {
+                scope_of_root: &scope_of_root,
+                free: &free,
+                bodies: &bodies,
+            };
+            for &op in &t.ops {
+                ops[op.index()] = decode_op(module, lib, op, &slot_of, &launch);
+            }
+            for v in &vals {
+                slot_of[v.index()] = NO_SLOT;
+            }
+            scopes[s] = ScopeLayout {
+                len: vals.len(),
+                values: vals,
+            };
         }
 
-        // -- 6. Fused loop traces: compile static affine loop bodies into
+        // -- 5. Fused loop traces: compile static affine loop bodies into
         // dispatch-free instruction tables (see `crate::fused`). Purely
         // derived from the decoded ops; loops the builder declines simply
         // have no table entry and run on the interpreter.
@@ -735,6 +768,28 @@ impl Plan {
             fuse_declines,
         }
     }
+}
+
+/// "No scope" in the prepass's dense scope maps.
+const NO_SCOPE: u32 = u32::MAX;
+/// "No slot" in the prepass's dense value → slot table.
+const NO_SLOT: Slot = Slot::MAX;
+
+/// The child side of a launch's spawn, recorded when its body scope is
+/// laid out: slots of the scope's free values (in `free` order) and of
+/// its entry block arguments, plus the frame length.
+#[derive(Debug, Default)]
+struct BodySlots {
+    free: Vec<Slot>,
+    args: Vec<Slot>,
+    len: usize,
+}
+
+/// What decoding an `equeue.launch` needs from the scopes laid out so far.
+struct LaunchCx<'a> {
+    scope_of_root: &'a [u32],
+    free: &'a [Vec<ValueId>],
+    bodies: &'a [BodySlots],
 }
 
 /// Collects the blocks and ops of one frame scope: descends into nested
@@ -755,7 +810,7 @@ fn collect_scope(
                 continue;
             }
             ops.push(op);
-            if data.name == "equeue.launch" && !data.regions.is_empty() {
+            if data.name.kind() == Some(OpKind::EqueueLaunch) && !data.regions.is_empty() {
                 child_regions.push(data.regions[0]);
                 for &r in &data.regions[1..] {
                     collect_scope(module, r, blocks, ops, child_regions);
@@ -769,27 +824,25 @@ fn collect_scope(
     }
 }
 
-/// Decodes one op of scope `s` into its [`OpInfo`].
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+/// Decodes one op of the scope whose slots `slot_of` currently holds.
+#[allow(clippy::too_many_lines)]
 fn decode_op(
     module: &Module,
     lib: &SimLibrary,
     op: OpId,
-    s: usize,
-    scopes: &[ScopeLayout],
-    free: &[Vec<ValueId>],
-    scope_of_root: &HashMap<RegionId, usize>,
+    slot_of: &[Slot],
+    launch: &LaunchCx<'_>,
 ) -> OpInfo {
+    use OpKind as K;
     let data = module.op(op);
-    // Slot of one value (binary search in the sorted layout); an operand
-    // defined by nothing executable (e.g. a result of an erased op) has no
-    // slot and poisons the decode.
+    // Slot of one value in this scope; an operand defined by nothing
+    // executable (e.g. a result of an erased op) has no slot and poisons
+    // the decode.
     let slot = |v: ValueId| -> Result<Slot, String> {
-        scopes[s]
-            .values
-            .binary_search(&v)
-            .map(|i| i as Slot)
-            .map_err(|_| format!("value %{v} has no materialisable definition"))
+        match slot_of.get(v.index()) {
+            Some(&s) if s != NO_SLOT => Ok(s),
+            _ => Err(format!("value %{v} has no materialisable definition")),
+        }
     };
     let slots_of =
         |vs: &[ValueId]| -> Result<Vec<Slot>, String> { vs.iter().map(|&v| slot(v)).collect() };
@@ -822,39 +875,37 @@ fn decode_op(
     };
 
     let code = (|| -> Result<OpCode, String> {
-        let attr_str = |name: &str| -> Result<String, String> {
+        let attr_str = |name: &str| -> Result<&str, String> {
             data.attrs
                 .str(name)
-                .map(str::to_string)
                 .ok_or_else(|| format!("op '{}' missing attribute '{name}'", data.name))
         };
-        Ok(match data.name.as_str() {
-            "equeue.create_proc" => OpCode::CreateProc {
-                kind: attr_str("kind")?,
+        Ok(match data.name.kind() {
+            Some(K::EqueueCreateProc) => OpCode::CreateProc {
+                kind: attr_str("kind")?.to_string(),
             },
-            "equeue.create_mem" => {
+            Some(K::EqueueCreateMem) => {
                 let shape = data
                     .attrs
                     .shape("shape")
                     .ok_or("create_mem missing shape")?;
                 OpCode::CreateMem {
-                    kind: attr_str("kind")?,
+                    kind: attr_str("kind")?.to_string(),
                     shape,
                     data_bits: data.attrs.int("data_bits").unwrap_or(32) as u32,
                     banks: data.attrs.int("banks").unwrap_or(1).max(1) as u32,
                     ports: data.attrs.int("ports").map(|v| v.max(1) as usize),
-                    attrs: data.attrs.clone(),
                 }
             }
-            "equeue.create_dma" => OpCode::CreateDma,
-            "equeue.create_comp" | "equeue.add_comp" => {
+            Some(K::EqueueCreateDma) => OpCode::CreateDma,
+            Some(k @ (K::EqueueCreateComp | K::EqueueAddComp)) => {
                 let names: Vec<String> = data
                     .attrs
                     .get("names")
                     .and_then(|a| a.as_str_array())
                     .map(|s| s.to_vec())
                     .ok_or_else(|| format!("{} missing names", data.name))?;
-                if data.name == "equeue.create_comp" {
+                if k == K::EqueueCreateComp {
                     OpCode::CreateComp {
                         names,
                         children: slots_of(&data.operands)?,
@@ -867,13 +918,13 @@ fn decode_op(
                     }
                 }
             }
-            "equeue.get_comp" => OpCode::GetComp {
+            Some(K::EqueueGetComp) => OpCode::GetComp {
                 target: slot(operand(0)?)?,
-                child: attr_str("name")?,
+                child: attr_str("name")?.to_string(),
             },
-            "equeue.create_connection" => {
+            Some(K::EqueueCreateConnection) => {
                 let kind_s = attr_str("kind")?;
-                let kind = ConnKind::from_str(&kind_s)
+                let kind = ConnKind::from_str(kind_s)
                     .ok_or_else(|| format!("bad connection kind {kind_s}"))?;
                 let bw = data.attrs.int("bandwidth").unwrap_or(0).max(0) as u64;
                 OpCode::CreateConnection {
@@ -881,7 +932,7 @@ fn decode_op(
                     bandwidth: bw,
                 }
             }
-            "equeue.alloc" => {
+            Some(K::EqueueAlloc) => {
                 let rt = module.value_type(result0()?);
                 let (shape, elem) = match rt {
                     Type::Buffer { shape, elem } => (shape.clone(), (**elem).clone()),
@@ -894,7 +945,7 @@ fn decode_op(
                     is_int: elem.is_integer(),
                 }
             }
-            "memref.alloc" => {
+            Some(K::MemrefAlloc) => {
                 let rt = module.value_type(result0()?);
                 let (shape, elem) = match rt {
                     Type::MemRef { shape, elem } => (shape.clone(), (**elem).clone()),
@@ -906,10 +957,10 @@ fn decode_op(
                     is_int: elem.is_integer(),
                 }
             }
-            "equeue.dealloc" | "memref.dealloc" => OpCode::Dealloc {
+            Some(K::EqueueDealloc | K::MemrefDealloc) => OpCode::Dealloc {
                 buf: slot(operand(0)?)?,
             },
-            "equeue.read" => {
+            Some(K::EqueueRead) => {
                 let view = read_view(module, op)?;
                 OpCode::Read {
                     buffer: slot(view.buffer)?,
@@ -917,7 +968,7 @@ fn decode_op(
                     conn: view.conn.map(slot).transpose()?,
                 }
             }
-            "equeue.write" => {
+            Some(K::EqueueWrite) => {
                 let view = write_view(module, op)?;
                 OpCode::Write {
                     value: slot(view.value)?,
@@ -926,16 +977,16 @@ fn decode_op(
                     conn: view.conn.map(slot).transpose()?,
                 }
             }
-            "affine.load" => OpCode::AffineLoad {
+            Some(K::AffineLoad) => OpCode::AffineLoad {
                 buffer: slot(operand(0)?)?,
                 indices: slots_of(operands_from(1))?,
             },
-            "affine.store" => OpCode::AffineStore {
+            Some(K::AffineStore) => OpCode::AffineStore {
                 value: slot(operand(0)?)?,
                 buffer: slot(operand(1)?)?,
                 indices: slots_of(operands_from(2))?,
             },
-            "equeue.memcpy" => {
+            Some(K::EqueueMemcpy) => {
                 let view = memcpy_view(module, op)?;
                 OpCode::Memcpy {
                     dep: slot(view.dep)?,
@@ -945,54 +996,49 @@ fn decode_op(
                     conn: view.conn.map(slot).transpose()?,
                 }
             }
-            "equeue.launch" => {
+            Some(K::EqueueLaunch) => {
                 let view = launch_view(module, op).map_err(|e| format!("{e} (launch op)"))?;
                 let body_region = data.regions.first().ok_or("launch needs a body region")?;
-                let child = *scope_of_root
-                    .get(body_region)
-                    .ok_or("launch body region is not a scope")?;
-                let child_slot = |v: ValueId| -> Result<Slot, String> {
-                    scopes[child]
-                        .values
-                        .binary_search(&v)
-                        .map(|i| i as Slot)
-                        .map_err(|_| format!("value %{v} missing from launch scope"))
+                let child = match launch.scope_of_root.get(body_region.index()) {
+                    Some(&c) if c != NO_SCOPE => c as usize,
+                    _ => return Err("launch body region is not a scope".into()),
                 };
+                let body = &launch.bodies[child];
                 // Free-variable capture map: parent slot → child slot.
-                let captures: Vec<(Slot, Slot)> = free[child]
+                let captures: Vec<(Slot, Slot)> = launch.free[child]
                     .iter()
-                    .map(|&v| Ok((slot(v)?, child_slot(v)?)))
+                    .zip(&body.free)
+                    .map(|(&v, &c)| Ok((slot(v)?, c)))
                     .collect::<Result<_, String>>()?;
                 // Explicit captures bound to body block args.
-                let args = &module.block(view.body).args;
                 let arg_binds: Vec<(Slot, Slot)> = view
                     .captures
                     .iter()
-                    .zip(args.iter())
-                    .map(|(&cap, &arg)| Ok((slot(cap)?, child_slot(arg)?)))
+                    .zip(&body.args)
+                    .map(|(&cap, &c)| Ok((slot(cap)?, c)))
                     .collect::<Result<_, String>>()?;
                 OpCode::Launch(Box::new(LaunchInfo {
                     dep: slot(view.dep)?,
                     proc: slot(view.proc)?,
                     body: view.body,
                     scope: child as u32,
-                    frame_len: scopes[child].len,
+                    frame_len: body.len,
                     captures,
                     arg_binds,
                 }))
             }
-            "equeue.control_start" => OpCode::ControlStart,
-            "equeue.control_and" | "equeue.control_or" => OpCode::Control {
-                and: data.name == "equeue.control_and",
+            Some(K::EqueueControlStart) => OpCode::ControlStart,
+            Some(k @ (K::EqueueControlAnd | K::EqueueControlOr)) => OpCode::Control {
+                and: k == K::EqueueControlAnd,
                 deps: slots_of(&data.operands)?,
             },
-            "equeue.await" => OpCode::Await {
+            Some(K::EqueueAwait) => OpCode::Await {
                 deps: slots_of(&data.operands)?,
             },
-            "equeue.return" => OpCode::Return {
+            Some(K::EqueueReturn) => OpCode::Return {
                 values: slots_of(&data.operands)?,
             },
-            "equeue.op" => {
+            Some(K::EqueueOp) => {
                 let sig = attr_str("signature")?;
                 // An explicit `cycles` attribute overrides the library, so
                 // generators can emit parameterised macro-ops; otherwise
@@ -1001,11 +1047,11 @@ fn decode_op(
                 // executed.
                 let cycles = match data.attrs.int("cycles") {
                     Some(c) => Some(c.max(0) as u64),
-                    None => lib.ext_op(&sig).map(|e| e.cycles),
+                    None => lib.ext_op(sig).map(|e| e.cycles),
                 };
-                OpCode::ExtOp { sig, cycles }
+                OpCode::ExtOp { cycles }
             }
-            "affine.for" => {
+            Some(K::AffineFor) => {
                 let region = *data.regions.first().ok_or("affine.for needs a region")?;
                 let body = *module
                     .region(region)
@@ -1031,7 +1077,7 @@ fn decode_op(
                     iv: slot(iv)?,
                 }
             }
-            "affine.parallel" => {
+            Some(K::AffineParallel) => {
                 let region = *data
                     .regions
                     .first()
@@ -1044,7 +1090,7 @@ fn decode_op(
                 let lowers = data.attrs.int_array("lowers").unwrap_or(&[]).to_vec();
                 let uppers = data.attrs.int_array("uppers").unwrap_or(&[]).to_vec();
                 let steps = data.attrs.int_array("steps").unwrap_or(&[]).to_vec();
-                let ivs = slots_of(&module.block(body).args.clone())?;
+                let ivs = slots_of(&module.block(body).args)?;
                 // Mismatched bound arrays would index out of range during
                 // iteration; non-positive steps would never terminate.
                 if lowers.len() != uppers.len()
@@ -1070,23 +1116,23 @@ fn decode_op(
                     ivs,
                 }
             }
-            "affine.yield" => OpCode::Yield,
-            "linalg.conv2d" => OpCode::Conv2d {
+            Some(K::AffineYield) => OpCode::Yield,
+            Some(K::LinalgConv2d) => OpCode::Conv2d {
                 dims: conv2d_dims(module, op)?,
                 ifmap: slot(operand(0)?)?,
                 weights: slot(operand(1)?)?,
                 ofmap: slot(operand(2)?)?,
             },
-            "linalg.matmul" => OpCode::Matmul {
+            Some(K::LinalgMatmul) => OpCode::Matmul {
                 a: slot(operand(0)?)?,
                 b: slot(operand(1)?)?,
                 c: slot(operand(2)?)?,
             },
-            "linalg.fill" => OpCode::Fill {
+            Some(K::LinalgFill) => OpCode::Fill {
                 scalar: slot(operand(0)?)?,
                 buffer: slot(operand(1)?)?,
             },
-            "arith.constant" => {
+            Some(K::ArithConstant) => {
                 let rt = module.value_type(result0()?);
                 OpCode::Constant(if rt.is_float() {
                     SimValue::Float(data.attrs.float("value").unwrap_or(0.0))
@@ -1094,17 +1140,18 @@ fn decode_op(
                     SimValue::Int(data.attrs.int("value").unwrap_or(0))
                 })
             }
-            "arith.cmpi" => OpCode::Cmpi {
-                pred: attr_str("predicate")?,
+            Some(K::ArithCmpi) => OpCode::Cmpi {
+                pred: attr_str("predicate")?.to_string(),
                 lhs: slot(operand(0)?)?,
                 rhs: slot(operand(1)?)?,
             },
-            "arith.select" => OpCode::Select {
+            Some(K::ArithSelect) => OpCode::Select {
                 cond: slot(operand(0)?)?,
                 on_true: slot(operand(1)?)?,
                 on_false: slot(operand(2)?)?,
             },
-            name if name.starts_with("arith.") => {
+            _ if data.name.starts_with("arith.") => {
+                let name = &data.name;
                 if data.operands.len() != 2 {
                     return Err(format!("'{name}' needs exactly two operands"));
                 }
@@ -1113,13 +1160,13 @@ fn decode_op(
                 let index_typed = *module.value_type(result0()?) == Type::Index;
                 OpCode::Binary {
                     kind: BinOp::from_name(name),
-                    name: name.to_string(),
+                    name: name.clone(),
                     lhs: slot(operand(0)?)?,
                     rhs: slot(operand(1)?)?,
                     index_typed,
                 }
             }
-            other => OpCode::Unsupported(other.to_string()),
+            _ => OpCode::Unsupported(data.name.clone()),
         })
     })();
 
@@ -1608,7 +1655,7 @@ impl<'m> Engine<'m> {
                             capacity_elems,
                             data_bits: m.data_bits,
                             banks: m.banks,
-                            attrs: AttrMap::new(),
+                            attrs: Default::default(),
                         }),
                     };
                     ComponentKind::Memory(Memory {
@@ -2363,9 +2410,13 @@ impl<'m> Engine<'m> {
         Ok(Step::Finished)
     }
 
-    /// Binds an op's `index`-th result in the frame.
+    /// Binds an op's `index`-th result in the frame. An op built without
+    /// that result (malformed IR) has nowhere to put it, and nothing can
+    /// read it: the value is dropped.
     fn bind(&self, frame: &mut Frame, info: &OpInfo, index: usize, value: SimValue) {
-        frame.env[info.results[index] as usize] = Some(value);
+        if let Some(&slot) = info.results.get(index) {
+            frame.env[slot as usize] = Some(value);
+        }
     }
 
     /// Executes one pre-decoded op inside a frame. Returns how the
@@ -2394,7 +2445,6 @@ impl<'m> Engine<'m> {
                 data_bits,
                 banks,
                 ports,
-                attrs,
             } => {
                 let capacity_elems = shape
                     .iter()
@@ -2407,7 +2457,7 @@ impl<'m> Engine<'m> {
                     capacity_elems,
                     data_bits: *data_bits,
                     banks: *banks,
-                    attrs: attrs.clone(),
+                    attrs: self.module.op(op).attrs.clone(),
                 };
                 let behavior = self.lib.make_memory(&spec);
                 let energy = spec
@@ -2733,10 +2783,12 @@ impl<'m> Engine<'m> {
                     .collect::<Result<_, _>>()?;
                 self.finish_frame(p, frame, payload)
             }
-            OpCode::ExtOp { sig, cycles } => {
+            OpCode::ExtOp { cycles } => {
+                let signature = || self.module.op(op).attrs.str("signature").unwrap_or("");
                 let cycles = cycles.ok_or_else(|| {
                     SimError::Unsupported(format!(
-                        "no simulator-library implementation for equeue.op signature '{sig}'"
+                        "no simulator-library implementation for equeue.op signature '{}'",
+                        signature()
                     ))
                 })?;
                 for i in 0..info.results.len() {
@@ -2745,8 +2797,14 @@ impl<'m> Engine<'m> {
                 let end = clock.saturating_add(cycles);
                 if self.trace.is_enabled() {
                     let tid = self.machine.name(self.procs[p].comp).to_string();
-                    self.trace
-                        .record(sig, TraceCat::Operation, clock, cycles, "Processor", &tid);
+                    self.trace.record(
+                        signature(),
+                        TraceCat::Operation,
+                        clock,
+                        cycles,
+                        "Processor",
+                        &tid,
+                    );
                 }
                 self.advance(p, end)
             }
@@ -2883,7 +2941,7 @@ impl<'m> Engine<'m> {
             }
 
             OpCode::Invalid { op, msg } => Err(SimError::Layout {
-                op: op.clone(),
+                op: op.to_string(),
                 msg: msg.clone(),
             }),
             OpCode::Unsupported(name) => Err(SimError::Unsupported(format!(
@@ -3537,8 +3595,9 @@ mod tests {
         assert_eq!(report.memory_named("SRAM").unwrap().writes, 8);
     }
 
-    #[test]
-    fn ext_op_unknown_signature_errors() {
+    /// One launch on a MAC processor running an `equeue.op` per signature;
+    /// a `Some(cycles)` entry overrides the library latency.
+    fn ext_op_program(ops: &[(&str, Option<i64>)]) -> Module {
         let mut m = Module::new();
         let blk = m.top_block();
         let mut b = OpBuilder::at_end(&mut m, blk);
@@ -3547,14 +3606,59 @@ mod tests {
         let l = b.launch(start, pe, &[], vec![]);
         {
             let mut ib = OpBuilder::at_end(b.module_mut(), l.body);
-            ib.ext_op("warp_drive", vec![], vec![]);
+            for &(sig, cycles) in ops {
+                let op = ib.ext_op(sig, vec![], vec![]);
+                if let Some(c) = cycles {
+                    ib.module_mut().op_mut(op).attrs.set("cycles", c);
+                }
+            }
             ib.ret(vec![]);
         }
         let done = l.done;
         let mut b = OpBuilder::at_end(&mut m, blk);
         b.await_all(vec![done]);
-        let err = simulate(&m).unwrap_err();
-        assert!(matches!(err, SimError::Unsupported(_)), "{err}");
+        m
+    }
+
+    fn with_backend(backend: Backend, trace: bool) -> SimOptions {
+        SimOptions {
+            backend,
+            trace,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn ext_op_unknown_signature_errors() {
+        // The decoded op keeps no copy of its signature; the error reads it
+        // back from the module and must still name it.
+        let m = ext_op_program(&[("warp_drive", None)]);
+        let lib = SimLibrary::standard();
+        for backend in [Backend::Fused, Backend::Interp] {
+            for trace in [false, true] {
+                let err = simulate_with(&m, &lib, &with_backend(backend, trace)).unwrap_err();
+                assert!(matches!(err, SimError::Unsupported(_)), "{err}");
+                assert!(err.to_string().contains("'warp_drive'"), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn traced_ext_ops_are_named_by_signature() {
+        let m = ext_op_program(&[("mac", None), ("skew", Some(3)), ("mul4", None)]);
+        let lib = SimLibrary::standard();
+        for backend in [Backend::Fused, Backend::Interp] {
+            let report = simulate_with(&m, &lib, &with_backend(backend, true)).unwrap();
+            let ops: Vec<(&str, u64, u64)> = report
+                .trace
+                .events()
+                .iter()
+                .filter(|e| e.cat == TraceCat::Operation)
+                .map(|e| (e.name.as_str(), e.ts, e.dur))
+                .collect();
+            assert_eq!(ops, vec![("mac", 0, 1), ("skew", 1, 3), ("mul4", 4, 1)]);
+            assert_eq!(report.cycles, 5);
+        }
     }
 
     #[test]
@@ -3581,6 +3685,70 @@ mod tests {
         b.await_all(vec![done]);
         let report = simulate(&m).expect("malformed dead op must be ignored");
         assert_eq!(report.cycles, 1);
+    }
+
+    /// A launch whose body adds a value defined by an erased top-level
+    /// op, before its `equeue.return` (`live`) or after it (dead code).
+    fn erased_def_program(live: bool) -> Module {
+        let mut m = Module::new();
+        let blk = m.top_block();
+        let mut b = OpBuilder::at_end(&mut m, blk);
+        let pe = b.create_proc(kinds::MAC);
+        let gone = b.const_int(1, Type::I32);
+        let start = b.control_start();
+        let l = b.launch(start, pe, &[], vec![]);
+        {
+            let mut ib = OpBuilder::at_end(b.module_mut(), l.body);
+            if !live {
+                ib.ret(vec![]);
+            }
+            ib.op("arith.addi")
+                .operand(gone)
+                .operand(gone)
+                .result(Type::I32)
+                .finish();
+            if live {
+                ib.ret(vec![]);
+            }
+        }
+        let done = l.done;
+        let mut b = OpBuilder::at_end(&mut m, blk);
+        b.await_all(vec![done]);
+        let equeue_ir::ValueDef::OpResult { op, .. } = m.value(gone).def else {
+            panic!("a constant defines its result");
+        };
+        m.erase_op(op);
+        m
+    }
+
+    #[test]
+    fn operand_of_erased_op_has_no_slot() {
+        // A value no live op defines gets no slot in any scope, so its user
+        // decodes to `OpCode::Invalid`: compiling rejects the module, and
+        // the lazy path fails only if the user executes.
+        let lib = SimLibrary::standard();
+        for live in [true, false] {
+            let compiled =
+                crate::CompiledModule::compile(erased_def_program(live), SimLibrary::standard());
+            let Err(err) = compiled else {
+                panic!("compile must reject the dangling operand");
+            };
+            assert!(matches!(err, SimError::Layout { .. }), "{err}");
+            assert!(
+                err.to_string().contains("no materialisable definition"),
+                "{err}"
+            );
+        }
+        let options = with_backend(Backend::Fused, false);
+        let err = simulate_with(&erased_def_program(true), &lib, &options).unwrap_err();
+        assert!(matches!(err, SimError::Layout { .. }), "{err}");
+        assert!(err.to_string().contains("arith.addi"), "{err}");
+        assert!(
+            err.to_string().contains("no materialisable definition"),
+            "{err}"
+        );
+        let report = simulate_with(&erased_def_program(false), &lib, &options).unwrap();
+        assert_eq!(report.cycles, 0);
     }
 
     #[test]

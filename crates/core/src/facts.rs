@@ -141,7 +141,6 @@ pub fn analyze_facts(module: &Module, lib: &SimLibrary) -> PrepassFacts {
                 data_bits,
                 banks,
                 ports,
-                attrs,
             } => {
                 let capacity_elems = shape
                     .iter()
@@ -152,7 +151,7 @@ pub fn analyze_facts(module: &Module, lib: &SimLibrary) -> PrepassFacts {
                     capacity_elems,
                     data_bits: *data_bits,
                     banks: *banks,
-                    attrs: attrs.clone(),
+                    attrs: module.op(op).attrs.clone(),
                 };
                 let behavior = lib.make_memory(&spec);
                 let elem_bytes = u64::from(data_bits.div_ceil(8).max(1));

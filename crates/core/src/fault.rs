@@ -99,7 +99,7 @@ fn apply_fault(module: &mut Module, fault: &Fault) -> bool {
             let Some(id) = nth_live_op(module, *nth, |_, _| true) else {
                 return false;
             };
-            module.op_mut(id).name = to.clone();
+            module.op_mut(id).name = to.as_str().into();
             true
         }
         Fault::DropOperand { nth } => {
@@ -169,5 +169,56 @@ mod tests {
             ],
         );
         assert_eq!(n, 0);
+    }
+
+    /// `mac` on a MAC processor, inside one launch.
+    fn mac_program() -> Module {
+        use equeue_dialect::{kinds, EqueueBuilder};
+        use equeue_ir::OpBuilder;
+        let mut m = Module::new();
+        let blk = m.top_block();
+        let mut b = OpBuilder::at_end(&mut m, blk);
+        let pe = b.create_proc(kinds::MAC);
+        let start = b.control_start();
+        let l = b.launch(start, pe, &[], vec![]);
+        let mut ib = OpBuilder::at_end(b.module_mut(), l.body);
+        ib.ext_op("mac", vec![], vec![]);
+        ib.ret(vec![]);
+        let mut b = OpBuilder::at_end(&mut m, blk);
+        b.await_all(vec![l.done]);
+        m
+    }
+
+    #[test]
+    fn renamed_op_is_reinterned() {
+        let m = mac_program();
+        let nth = m
+            .live_ops()
+            .position(|id| m.op(id).name == "equeue.op")
+            .unwrap();
+        let renamed = |to: &str| {
+            let mut m = m.clone();
+            let fault = Fault::RenameOp { nth, to: to.into() };
+            assert_eq!(apply_faults(&mut m, &[fault]), 1);
+            m
+        };
+
+        // An unknown name is stored verbatim and executes as `Unsupported`.
+        let bogus = renamed("bogus.op");
+        let id = bogus.find_first("bogus.op").unwrap();
+        assert_eq!(bogus.op(id).name.kind(), None);
+        let err = crate::simulate(&bogus).unwrap_err();
+        assert!(matches!(err, crate::SimError::Unsupported(_)), "{err}");
+        assert!(err.to_string().contains("'bogus.op'"), "{err}");
+
+        // A known name resolves to its kind, and the engine decodes the op
+        // as that kind: here a `control_start` without its signal result.
+        let started = renamed("equeue.control_start");
+        let id = started.live_ops().nth(nth).unwrap();
+        assert_eq!(
+            started.op(id).name.kind(),
+            Some(equeue_ir::OpKind::EqueueControlStart)
+        );
+        assert_eq!(crate::simulate(&started).unwrap().cycles, 0);
     }
 }

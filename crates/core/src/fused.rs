@@ -479,7 +479,7 @@ fn try_build(
             OpCode::For { .. } | OpCode::Parallel { .. } => {
                 return Err(FuseDecline::MultiLevelNest)
             }
-            _ => return Err(FuseDecline::UnsupportedOp(module.op(op).name.clone())),
+            _ => return Err(FuseDecline::UnsupportedOp(module.op(op).name.to_string())),
         }
     }
     if insts.is_empty() {

@@ -6,7 +6,7 @@
 //! rewrites into EQueue data movement. A small `memref.alloc` op provides
 //! buffers at this level.
 
-use equeue_ir::{BlockId, Module, OpBuilder, OpId, Type, ValueId};
+use equeue_ir::{BlockId, Module, OpBuilder, OpId, OpKind, Type, ValueId};
 
 /// Fluent constructors for `affine` (and `memref`) ops.
 ///
@@ -66,18 +66,18 @@ impl AffineBuilder for OpBuilder<'_> {
             matches!(ty, Type::MemRef { .. }),
             "memref.alloc needs a memref type"
         );
-        self.op("memref.alloc").result(ty).finish_value()
+        self.op(OpKind::MemrefAlloc).result(ty).finish_value()
     }
 
     fn memref_dealloc(&mut self, memref: ValueId) {
-        self.op("memref.dealloc").operand(memref).finish();
+        self.op(OpKind::MemrefDealloc).operand(memref).finish();
     }
 
     fn affine_for(&mut self, lower: i64, upper: i64, step: i64) -> (OpId, BlockId, ValueId) {
         let (region, body) = self.region_with_block(vec![Type::Index]);
         let iv = self.module().block(body).args[0];
         let op = self
-            .op("affine.for")
+            .op(OpKind::AffineFor)
             .attr("lower", lower)
             .attr("upper", upper)
             .attr("step", step)
@@ -97,7 +97,7 @@ impl AffineBuilder for OpBuilder<'_> {
         let (region, body) = self.region_with_block(vec![Type::Index; lowers.len()]);
         let ivs = self.module().block(body).args.clone();
         let op = self
-            .op("affine.parallel")
+            .op(OpKind::AffineParallel)
             .attr("lowers", lowers)
             .attr("uppers", uppers)
             .attr("steps", steps)
@@ -111,7 +111,7 @@ impl AffineBuilder for OpBuilder<'_> {
             Some(e) => e.clone(),
             None => panic!("affine.load needs a shaped operand"),
         };
-        self.op("affine.load")
+        self.op(OpKind::AffineLoad)
             .operand(memref)
             .operands(indices)
             .result(elem)
@@ -119,7 +119,7 @@ impl AffineBuilder for OpBuilder<'_> {
     }
 
     fn affine_store(&mut self, value: ValueId, memref: ValueId, indices: Vec<ValueId>) {
-        self.op("affine.store")
+        self.op(OpKind::AffineStore)
             .operand(value)
             .operand(memref)
             .operands(indices)
@@ -127,7 +127,7 @@ impl AffineBuilder for OpBuilder<'_> {
     }
 
     fn affine_yield(&mut self) {
-        self.op("affine.yield").finish();
+        self.op(OpKind::AffineYield).finish();
     }
 }
 

@@ -4,7 +4,7 @@
 //! programs intermix them freely with hardware ops (e.g. the `addi` inside a
 //! `launch` block in Fig. 2a).
 
-use equeue_ir::{Module, OpBuilder, OpId, Type, ValueId};
+use equeue_ir::{Module, OpBuilder, OpId, OpKind, Type, ValueId};
 
 /// Comparison predicates for [`ArithBuilder::cmpi`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -110,7 +110,7 @@ fn binary(b: &mut OpBuilder<'_>, name: &str, lhs: ValueId, rhs: ValueId) -> Valu
 
 impl ArithBuilder for OpBuilder<'_> {
     fn const_int(&mut self, value: i64, ty: Type) -> ValueId {
-        self.op("arith.constant")
+        self.op(OpKind::ArithConstant)
             .attr("value", value)
             .result(ty)
             .finish_value()
@@ -121,7 +121,7 @@ impl ArithBuilder for OpBuilder<'_> {
     }
 
     fn const_float(&mut self, value: f64, ty: Type) -> ValueId {
-        self.op("arith.constant")
+        self.op(OpKind::ArithConstant)
             .attr("value", value)
             .result(ty)
             .finish_value()
@@ -156,7 +156,7 @@ impl ArithBuilder for OpBuilder<'_> {
     }
 
     fn cmpi(&mut self, pred: CmpPred, lhs: ValueId, rhs: ValueId) -> ValueId {
-        self.op("arith.cmpi")
+        self.op(OpKind::ArithCmpi)
             .attr("predicate", pred.as_str())
             .operand(lhs)
             .operand(rhs)
@@ -166,7 +166,7 @@ impl ArithBuilder for OpBuilder<'_> {
 
     fn select(&mut self, cond: ValueId, a: ValueId, b: ValueId) -> ValueId {
         let ty = self.module().value_type(a).clone();
-        self.op("arith.select")
+        self.op(OpKind::ArithSelect)
             .operand(cond)
             .operand(a)
             .operand(b)

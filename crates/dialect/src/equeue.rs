@@ -21,7 +21,7 @@
 //! attribute recording group sizes, mirroring MLIR's
 //! `operand_segment_sizes`.
 
-use equeue_ir::{Attr, BlockId, Module, OpBuilder, OpId, Type, ValueId};
+use equeue_ir::{Attr, BlockId, Module, OpBuilder, OpId, OpKind, Type, ValueId};
 
 /// Well-known component-kind strings understood by the simulator library.
 pub mod kinds {
@@ -192,7 +192,7 @@ pub trait EqueueBuilder {
 
 impl EqueueBuilder for OpBuilder<'_> {
     fn create_proc(&mut self, kind: &str) -> ValueId {
-        self.op("equeue.create_proc")
+        self.op(OpKind::EqueueCreateProc)
             .attr("kind", kind)
             .result(Type::Proc)
             .finish_value()
@@ -200,7 +200,7 @@ impl EqueueBuilder for OpBuilder<'_> {
 
     fn create_mem(&mut self, kind: &str, shape: &[usize], data_bits: u32, banks: u32) -> ValueId {
         let shape_attr: Vec<i64> = shape.iter().map(|&d| d as i64).collect();
-        self.op("equeue.create_mem")
+        self.op(OpKind::EqueueCreateMem)
             .attr("kind", kind)
             .attr("shape", shape_attr)
             .attr("data_bits", data_bits as i64)
@@ -210,7 +210,7 @@ impl EqueueBuilder for OpBuilder<'_> {
     }
 
     fn create_dma(&mut self) -> ValueId {
-        self.op("equeue.create_dma")
+        self.op(OpKind::EqueueCreateDma)
             .result(Type::Dma)
             .finish_value()
     }
@@ -218,7 +218,7 @@ impl EqueueBuilder for OpBuilder<'_> {
     fn create_comp(&mut self, names: &[&str], comps: Vec<ValueId>) -> ValueId {
         assert_eq!(names.len(), comps.len(), "one name per sub-component");
         let names_attr = Attr::StrArray(names.iter().map(|s| s.to_string()).collect());
-        self.op("equeue.create_comp")
+        self.op(OpKind::EqueueCreateComp)
             .attr("names", names_attr)
             .operands(comps)
             .result(Type::Comp)
@@ -228,7 +228,7 @@ impl EqueueBuilder for OpBuilder<'_> {
     fn add_comp(&mut self, comp: ValueId, names: &[&str], comps: Vec<ValueId>) {
         assert_eq!(names.len(), comps.len(), "one name per sub-component");
         let names_attr = Attr::StrArray(names.iter().map(|s| s.to_string()).collect());
-        self.op("equeue.add_comp")
+        self.op(OpKind::EqueueAddComp)
             .attr("names", names_attr)
             .operand(comp)
             .operands(comps)
@@ -236,7 +236,7 @@ impl EqueueBuilder for OpBuilder<'_> {
     }
 
     fn get_comp(&mut self, comp: ValueId, name: &str, ty: Type) -> ValueId {
-        self.op("equeue.get_comp")
+        self.op(OpKind::EqueueGetComp)
             .attr("name", name)
             .operand(comp)
             .result(ty)
@@ -244,7 +244,7 @@ impl EqueueBuilder for OpBuilder<'_> {
     }
 
     fn create_connection(&mut self, kind: ConnKind, bandwidth: u32) -> ValueId {
-        self.op("equeue.create_connection")
+        self.op(OpKind::EqueueCreateConnection)
             .attr("kind", kind.as_str())
             .attr("bandwidth", bandwidth as i64)
             .result(Type::Conn)
@@ -252,14 +252,14 @@ impl EqueueBuilder for OpBuilder<'_> {
     }
 
     fn alloc(&mut self, mem: ValueId, shape: &[usize], elem: Type) -> ValueId {
-        self.op("equeue.alloc")
+        self.op(OpKind::EqueueAlloc)
             .operand(mem)
             .result(Type::buffer(shape.to_vec(), elem))
             .finish_value()
     }
 
     fn dealloc(&mut self, buffer: ValueId) {
-        self.op("equeue.dealloc").operand(buffer).finish();
+        self.op(OpKind::EqueueDealloc).operand(buffer).finish();
     }
 
     fn read(&mut self, buffer: ValueId, conn: Option<ValueId>) -> ValueId {
@@ -274,7 +274,7 @@ impl EqueueBuilder for OpBuilder<'_> {
             Type::tensor(shape, elem)
         };
         let n_conn = conn.iter().len() as i64;
-        self.op("equeue.read")
+        self.op(OpKind::EqueueRead)
             .attr("segments", vec![1, 0, n_conn])
             .operand(buffer)
             .operands(conn)
@@ -295,7 +295,7 @@ impl EqueueBuilder for OpBuilder<'_> {
             .cloned()
             .unwrap_or(Type::Any);
         let n_conn = conn.iter().len() as i64;
-        self.op("equeue.read")
+        self.op(OpKind::EqueueRead)
             .attr("segments", vec![1, indices.len() as i64, n_conn])
             .operand(buffer)
             .operands(indices)
@@ -306,7 +306,7 @@ impl EqueueBuilder for OpBuilder<'_> {
 
     fn write(&mut self, value: ValueId, buffer: ValueId, conn: Option<ValueId>) {
         let n_conn = conn.iter().len() as i64;
-        self.op("equeue.write")
+        self.op(OpKind::EqueueWrite)
             .attr("segments", vec![1, 1, 0, n_conn])
             .operand(value)
             .operand(buffer)
@@ -322,7 +322,7 @@ impl EqueueBuilder for OpBuilder<'_> {
         conn: Option<ValueId>,
     ) {
         let n_conn = conn.iter().len() as i64;
-        self.op("equeue.write")
+        self.op(OpKind::EqueueWrite)
             .attr("segments", vec![1, 1, indices.len() as i64, n_conn])
             .operand(value)
             .operand(buffer)
@@ -340,7 +340,7 @@ impl EqueueBuilder for OpBuilder<'_> {
         conn: Option<ValueId>,
     ) -> ValueId {
         let n_conn = conn.iter().len() as i64;
-        self.op("equeue.memcpy")
+        self.op(OpKind::EqueueMemcpy)
             .attr("segments", vec![1, 1, 1, 1, n_conn])
             .operands(vec![dep, src, dst, dma])
             .operands(conn)
@@ -349,20 +349,20 @@ impl EqueueBuilder for OpBuilder<'_> {
     }
 
     fn control_start(&mut self) -> ValueId {
-        self.op("equeue.control_start")
+        self.op(OpKind::EqueueControlStart)
             .result(Type::Signal)
             .finish_value()
     }
 
     fn control_and(&mut self, deps: Vec<ValueId>) -> ValueId {
-        self.op("equeue.control_and")
+        self.op(OpKind::EqueueControlAnd)
             .operands(deps)
             .result(Type::Signal)
             .finish_value()
     }
 
     fn control_or(&mut self, deps: Vec<ValueId>) -> ValueId {
-        self.op("equeue.control_or")
+        self.op(OpKind::EqueueControlOr)
             .operands(deps)
             .result(Type::Signal)
             .finish_value()
@@ -384,7 +384,7 @@ impl EqueueBuilder for OpBuilder<'_> {
         let mut result_types = vec![Type::Signal];
         result_types.extend(extra_results);
         let op = self
-            .op("equeue.launch")
+            .op(OpKind::EqueueLaunch)
             .operand(dep)
             .operand(proc)
             .operands(captures.iter().copied())
@@ -405,15 +405,15 @@ impl EqueueBuilder for OpBuilder<'_> {
     }
 
     fn await_all(&mut self, deps: Vec<ValueId>) {
-        self.op("equeue.await").operands(deps).finish();
+        self.op(OpKind::EqueueAwait).operands(deps).finish();
     }
 
     fn ret(&mut self, values: Vec<ValueId>) {
-        self.op("equeue.return").operands(values).finish();
+        self.op(OpKind::EqueueReturn).operands(values).finish();
     }
 
     fn ext_op(&mut self, signature: &str, operands: Vec<ValueId>, results: Vec<Type>) -> OpId {
-        self.op("equeue.op")
+        self.op(OpKind::EqueueOp)
             .attr("signature", signature)
             .operands(operands)
             .results(results)

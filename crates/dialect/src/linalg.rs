@@ -11,7 +11,7 @@
 //! * weights: `memref<N x C x Fh x Fw x ty>`
 //! * ofmap: `memref<N x Eh x Ew x ty>` with `Eh = H - Fh + 1`, `Ew = W - Fw + 1`
 
-use equeue_ir::{Module, OpBuilder, OpId, ValueId};
+use equeue_ir::{Module, OpBuilder, OpId, OpKind, ValueId};
 
 /// Convolution problem dimensions, named as in the paper (§VI-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -114,17 +114,19 @@ pub trait LinalgBuilder {
 
 impl LinalgBuilder for OpBuilder<'_> {
     fn linalg_conv2d(&mut self, ifmap: ValueId, weights: ValueId, ofmap: ValueId) -> OpId {
-        self.op("linalg.conv2d")
+        self.op(OpKind::LinalgConv2d)
             .operands(vec![ifmap, weights, ofmap])
             .finish()
     }
 
     fn linalg_matmul(&mut self, a: ValueId, b: ValueId, c: ValueId) -> OpId {
-        self.op("linalg.matmul").operands(vec![a, b, c]).finish()
+        self.op(OpKind::LinalgMatmul)
+            .operands(vec![a, b, c])
+            .finish()
     }
 
     fn linalg_fill(&mut self, scalar: ValueId, buffer: ValueId) -> OpId {
-        self.op("linalg.fill")
+        self.op(OpKind::LinalgFill)
             .operands(vec![scalar, buffer])
             .finish()
     }

@@ -138,6 +138,18 @@ mod tests {
     }
 
     #[test]
+    fn registered_ops_are_the_known_op_names() {
+        // Every known kind is registered, and there are no more registered
+        // ops than kinds: each registered op resolves to a known id.
+        let reg = standard_registry();
+        for &kind in equeue_ir::OpKind::ALL {
+            assert!(reg.knows(kind.name()), "{} not registered", kind.name());
+            assert_eq!(equeue_ir::OpName::from(kind.name()).kind(), Some(kind));
+        }
+        assert_eq!(reg.len(), equeue_ir::OpKind::ALL.len());
+    }
+
+    #[test]
     fn traits_are_sensible() {
         let reg = standard_registry();
         assert!(reg.traits("arith.addi").is_pure);

@@ -5,7 +5,6 @@
 //! component kinds (`"SRAM"`), shapes, bandwidths, and loop bounds.
 
 use crate::types::Type;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A single attribute value.
@@ -208,8 +207,10 @@ impl fmt::Display for Attr {
 
 /// A sorted attribute dictionary, keyed by attribute name.
 ///
-/// The `BTreeMap` ordering makes printing deterministic, which the
-/// parser/printer round-trip tests rely on.
+/// Entries live in one vector kept sorted by name, so printing is
+/// deterministic (the parser/printer round-trip tests rely on it) and a
+/// typical op's one to three attributes cost a single allocation. Setting
+/// an existing name replaces its value, so the last value set wins.
 ///
 /// # Examples
 ///
@@ -222,7 +223,7 @@ impl fmt::Display for Attr {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AttrMap {
-    entries: BTreeMap<String, Attr>,
+    entries: Vec<(String, Attr)>,
 }
 
 impl AttrMap {
@@ -231,25 +232,44 @@ impl AttrMap {
         Self::default()
     }
 
+    /// Position of `name`, or where it would be inserted.
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        self.entries.binary_search_by(|(k, _)| k.as_str().cmp(name))
+    }
+
+    /// Inserts an owned entry, replacing any previous value for its name.
+    fn insert(&mut self, name: String, value: Attr) {
+        match self.find(&name) {
+            Ok(i) => self.entries[i].1 = value,
+            Err(i) => self.entries.insert(i, (name, value)),
+        }
+    }
+
     /// Inserts an attribute, replacing any previous value for `name`.
     pub fn set(&mut self, name: &str, value: impl Into<Attr>) -> &mut Self {
-        self.entries.insert(name.to_string(), value.into());
+        let value = value.into();
+        match self.find(name) {
+            Ok(i) => self.entries[i].1 = value,
+            Err(i) => self.entries.insert(i, (name.to_string(), value)),
+        }
         self
     }
 
     /// Removes an attribute, returning the previous value if present.
     pub fn remove(&mut self, name: &str) -> Option<Attr> {
-        self.entries.remove(name)
+        let i = self.find(name).ok()?;
+        Some(self.entries.remove(i).1)
     }
 
     /// Looks up an attribute by name.
     pub fn get(&self, name: &str) -> Option<&Attr> {
-        self.entries.get(name)
+        let i = self.find(name).ok()?;
+        Some(&self.entries[i].1)
     }
 
     /// Whether an attribute with `name` exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.entries.contains_key(name)
+        self.find(name).is_ok()
     }
 
     /// Shortcut: the integer payload of attribute `name`.
@@ -295,15 +315,17 @@ impl AttrMap {
 
 impl FromIterator<(String, Attr)> for AttrMap {
     fn from_iter<T: IntoIterator<Item = (String, Attr)>>(iter: T) -> Self {
-        AttrMap {
-            entries: iter.into_iter().collect(),
-        }
+        let mut map = AttrMap::new();
+        map.extend(iter);
+        map
     }
 }
 
 impl Extend<(String, Attr)> for AttrMap {
     fn extend<T: IntoIterator<Item = (String, Attr)>>(&mut self, iter: T) {
-        self.entries.extend(iter);
+        for (name, value) in iter {
+            self.insert(name, value);
+        }
     }
 }
 
@@ -372,5 +394,40 @@ mod tests {
         m.extend(vec![("y".to_string(), Attr::Int(2))]);
         assert_eq!(m.int("x"), Some(1));
         assert_eq!(m.int("y"), Some(2));
+    }
+
+    #[test]
+    fn attr_map_last_value_wins() {
+        let mut m = AttrMap::new();
+        m.set("k", 1i64).set("k", 2i64);
+        assert_eq!((m.len(), m.int("k")), (1, Some(2)));
+
+        let pairs = |vals: &[(&str, i64)]| -> Vec<(String, Attr)> {
+            vals.iter()
+                .map(|&(k, v)| (k.to_string(), Attr::Int(v)))
+                .collect()
+        };
+        let m: AttrMap = pairs(&[("b", 1), ("a", 2), ("b", 3)]).into_iter().collect();
+        assert_eq!((m.len(), m.int("a"), m.int("b")), (2, Some(2), Some(3)));
+
+        let mut m = m;
+        m.extend(pairs(&[("a", 4), ("c", 5), ("a", 6)]));
+        assert_eq!(
+            m.iter().map(|(k, v)| (k, v.as_int())).collect::<Vec<_>>(),
+            vec![("a", Some(6)), ("b", Some(3)), ("c", Some(5))]
+        );
+    }
+
+    #[test]
+    fn attr_map_iteration_stays_sorted() {
+        let mut m = AttrMap::new();
+        for (i, k) in ["m", "b", "z", "a", "q", "b"].into_iter().enumerate() {
+            m.set(k, i as i64);
+        }
+        assert_eq!(m.remove("q"), Some(Attr::Int(4)));
+        assert_eq!(m.remove("q"), None);
+        let keys: Vec<&str> = m.iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, vec!["a", "b", "m", "z"]);
+        assert_eq!(m.int("b"), Some(5));
     }
 }

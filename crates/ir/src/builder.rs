@@ -7,6 +7,7 @@
 
 use crate::attr::{Attr, AttrMap};
 use crate::module::{BlockId, Module, OpId, RegionId, ValueId};
+use crate::name::OpName;
 use crate::types::Type;
 
 /// A builder that inserts operations sequentially into a block.
@@ -128,10 +129,10 @@ impl<'m> OpBuilder<'m> {
     }
 
     /// Starts a fluent op specification named `name`.
-    pub fn op<'a>(&'a mut self, name: &str) -> OpSpec<'a, 'm> {
+    pub fn op<'a>(&'a mut self, name: impl Into<OpName>) -> OpSpec<'a, 'm> {
         OpSpec {
             builder: self,
-            name: name.to_string(),
+            name: name.into(),
             operands: vec![],
             result_types: vec![],
             attrs: AttrMap::new(),
@@ -163,7 +164,7 @@ impl<'m> OpBuilder<'m> {
 #[derive(Debug)]
 pub struct OpSpec<'a, 'm> {
     builder: &'a mut OpBuilder<'m>,
-    name: String,
+    name: OpName,
     operands: Vec<ValueId>,
     result_types: Vec<Type>,
     attrs: AttrMap,
@@ -229,7 +230,7 @@ impl OpSpec<'_, '_> {
         } = self;
         let op = builder
             .module
-            .create_op(&name, operands, result_types, attrs, regions);
+            .create_op(name, operands, result_types, attrs, regions);
         for (idx, hint) in result_names {
             let v = builder.module.result(op, idx);
             builder.module.set_value_name(v, &hint);
@@ -259,7 +260,7 @@ impl OpSpec<'_, '_> {
         } = self;
         let op = builder
             .module
-            .create_op(&name, operands, result_types, attrs, regions);
+            .create_op(name, operands, result_types, attrs, regions);
         for (idx, hint) in result_names {
             let v = builder.module.result(op, idx);
             builder.module.set_value_name(v, &hint);
@@ -285,7 +286,7 @@ mod tests {
             .block(blk)
             .ops
             .iter()
-            .map(|&o| m.op(o).name.clone())
+            .map(|&o| m.op(o).name.to_string())
             .collect();
         assert_eq!(names, vec!["test.a", "test.b"]);
     }
@@ -307,7 +308,7 @@ mod tests {
             .block(blk)
             .ops
             .iter()
-            .map(|&o| m.op(o).name.clone())
+            .map(|&o| m.op(o).name.to_string())
             .collect();
         assert_eq!(names, vec!["test.a", "test.b", "test.c"]);
     }
@@ -326,7 +327,7 @@ mod tests {
             .block(blk)
             .ops
             .iter()
-            .map(|&o| m.op(o).name.clone())
+            .map(|&o| m.op(o).name.to_string())
             .collect();
         assert_eq!(names, vec!["test.pre", "test.mid", "test.post"]);
     }

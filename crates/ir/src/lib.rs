@@ -7,7 +7,8 @@
 //! reimplements the essential MLIR machinery the paper relies on:
 //!
 //! * generic **operations** carrying operands, results, attributes and
-//!   nested regions ([`Module`], [`Operation`]);
+//!   nested regions ([`Module`], [`Operation`]), with names interned into
+//!   dense ids ([`OpName`]);
 //! * **SSA values** with use-def queries and replacement;
 //! * a fluent **builder** API ([`OpBuilder`]) used by the paper's
 //!   accelerator generators (§VI-B);
@@ -53,6 +54,7 @@ mod attr;
 mod builder;
 mod error;
 mod module;
+mod name;
 mod parser;
 mod printer;
 mod registry;
@@ -68,6 +70,7 @@ pub use error::{IrError, IrResult};
 pub use module::{
     Block, BlockId, Module, OpId, Operation, Region, RegionId, ValueData, ValueDef, ValueId,
 };
+pub use name::{OpKind, OpName};
 pub use parser::{parse_module, parse_type};
 pub use pass::{Pass, PassManager, PassStat, PipelineStats};
 pub use printer::{print_module, print_op};

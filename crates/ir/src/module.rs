@@ -9,6 +9,7 @@
 //! cheap to traverse and mutate.
 
 use crate::attr::AttrMap;
+use crate::name::OpName;
 use crate::types::Type;
 use std::collections::HashMap;
 use std::fmt;
@@ -125,8 +126,9 @@ pub struct ValueData {
 /// other IR.
 #[derive(Debug, Clone)]
 pub struct Operation {
-    /// Fully-qualified name, `"<dialect>.<mnemonic>"`.
-    pub name: String,
+    /// Fully-qualified name, `"<dialect>.<mnemonic>"`, interned when the
+    /// op is created (see [`OpName`]).
+    pub name: OpName,
     /// SSA operands, in order.
     pub operands: Vec<ValueId>,
     /// SSA results defined by this op, in order.
@@ -151,7 +153,7 @@ impl Operation {
     pub fn mnemonic(&self) -> &str {
         match self.name.split_once('.') {
             Some((_, m)) => m,
-            None => &self.name,
+            None => self.name.as_str(),
         }
     }
 }
@@ -279,7 +281,7 @@ impl Module {
     /// `regions` are re-parented to the new op.
     pub fn create_op(
         &mut self,
-        name: &str,
+        name: impl Into<OpName>,
         operands: Vec<ValueId>,
         result_types: Vec<Type>,
         attrs: AttrMap,
@@ -303,7 +305,7 @@ impl Module {
             self.regions[r.0 as usize].parent_op = Some(id);
         }
         self.ops.push(Operation {
-            name: name.to_string(),
+            name: name.into(),
             operands,
             results,
             attrs,
@@ -599,13 +601,7 @@ impl Module {
             }
             new_regions.push(nr);
         }
-        let new_op = self.create_op(
-            &src.name,
-            operands,
-            result_types,
-            src.attrs.clone(),
-            new_regions,
-        );
+        let new_op = self.create_op(src.name, operands, result_types, src.attrs, new_regions);
         for (o, n) in self.ops[op.0 as usize]
             .results
             .clone()

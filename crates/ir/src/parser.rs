@@ -654,7 +654,7 @@ impl<'a> Parser<'a> {
             )));
         }
 
-        let op = module.create_op(&name, operands, result_types, attrs, regions);
+        let op = module.create_op(name, operands, result_types, attrs, regions);
         module.append_op(block, op);
         for (i, rname) in result_names.iter().enumerate() {
             let v = module.result(op, i);
