@@ -12,9 +12,10 @@
 //!    land the cut at a trace exit, but the *resumed total* must still be
 //!    bit-identical to the uninterrupted run under either backend);
 //! 3. a serialisation round trip on every captured snapshot —
-//!    `encode → decode → resume` must equal resuming the original, and
-//!    `encode(decode(bytes))` must reproduce `bytes` exactly (the
-//!    canonical-encoding property, probed at xorshift-random cuts too).
+//!    `encode → decode → resume` must equal resuming the original;
+//! 4. canonical capture: two independently compiled handles capture
+//!    byte-identical snapshots at xorshift-random cuts, and the wire format
+//!    is pinned by length and hash on one scenario.
 
 use equeue_core::{Backend, CompiledModule, SimLibrary, SimOptions, SimReport, Snapshot};
 use equeue_gen::scenarios::golden_scenarios;
@@ -206,35 +207,85 @@ impl XorShift {
     }
 }
 
-/// Property: for every golden scenario and random cut cycles, the
-/// canonical encoding is a fixed point — `encode(decode(encode(s)))`
-/// equals `encode(s)` byte for byte.
+/// Property: capture is canonical. Two independently compiled handles of
+/// every golden scenario (each with its own library, so their profile hash
+/// maps iterate in different orders) capture byte-identical snapshots at
+/// the same xorshift-random cuts, and the bytes survive `decode` unchanged.
 #[test]
 fn snapshot_roundtrip_is_byte_identical_at_random_cuts() {
     let mut rng = XorShift(0x9e37_79b9_7f4a_7c15);
-    for scenario in golden_scenarios() {
+    let compile = |module| {
+        CompiledModule::compile(module, SimLibrary::standard()).expect("golden scenario compiles")
+    };
+    for (scenario, twin) in golden_scenarios().into_iter().zip(golden_scenarios()) {
         let name = scenario.name;
-        let compiled = CompiledModule::compile(scenario.module, SimLibrary::standard())
-            .unwrap_or_else(|e| panic!("{name}: compile: {e}"));
-        let full = compiled
+        let (a, b) = (compile(scenario.module), compile(twin.module));
+        let full = a
             .simulate(&options(Backend::Fused))
             .unwrap_or_else(|e| panic!("{name}: full run: {e}"));
         for _ in 0..5 {
             let cut = rng.next() % full.cycles.max(1) + 1;
-            let snap = compiled
-                .snapshot(&SimOptions {
-                    snapshot_at: Some(cut),
-                    ..options(Backend::Fused)
-                })
-                .unwrap_or_else(|e| panic!("{name}: snapshot at {cut}: {e}"));
-            let bytes = snap.encode();
-            let decoded =
-                Snapshot::decode(&bytes).unwrap_or_else(|e| panic!("{name}: decode at {cut}: {e}"));
-            assert_eq!(
-                decoded.encode(),
-                bytes,
+            let opts = SimOptions {
+                snapshot_at: Some(cut),
+                ..options(Backend::Fused)
+            };
+            let capture = |compiled: &CompiledModule| {
+                compiled
+                    .snapshot(&opts)
+                    .unwrap_or_else(|e| panic!("{name}: snapshot at {cut}: {e}"))
+                    .encode()
+            };
+            let bytes = capture(&a);
+            assert!(
+                capture(&b) == bytes,
                 "{name}: encoding not canonical at cut {cut}"
             );
+            let decoded =
+                Snapshot::decode(&bytes).unwrap_or_else(|e| panic!("{name}: decode at {cut}: {e}"));
+            assert!(
+                decoded.encode() == bytes,
+                "{name}: decode changed the bytes at cut {cut}"
+            );
         }
+    }
+}
+
+/// FNV-1a 64 (the wire format's checksum), used as a content hash.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Pins the wire format: the encoded snapshot of `conv2d_systolic_8x3`
+/// (SRAM, DRAM, Cache and Register memories) at `cycles / 2` keeps its
+/// exact length and FNV-1a hash under both capture backends. A failure
+/// here is a format change, which needs a `FORMAT_VERSION` bump.
+#[test]
+fn wire_format_is_pinned() {
+    let scenario = golden_scenarios()
+        .into_iter()
+        .find(|s| s.name == "conv2d_systolic_8x3")
+        .expect("conv2d_systolic_8x3 is a golden scenario");
+    let compiled = CompiledModule::compile(scenario.module, SimLibrary::standard())
+        .expect("scenario compiles");
+    let full = compiled
+        .simulate(&options(Backend::Fused))
+        .expect("full run");
+    for (backend, len, sum) in [
+        (Backend::Fused, 14_335, 0x20f9_f38f_16b0_1714),
+        (Backend::Interp, 14_335, 0x4aef_43f4_28e6_8a79),
+    ] {
+        let bytes = compiled
+            .snapshot(&SimOptions {
+                snapshot_at: Some(full.cycles / 2),
+                ..options(backend)
+            })
+            .expect("snapshot")
+            .encode();
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (len, sum), "{backend:?}");
     }
 }

@@ -210,8 +210,14 @@ impl CompiledModule {
     ///
     /// # Errors
     ///
-    /// [`SimError::Snapshot`] when the snapshot does not match this module;
-    /// otherwise any error the resumed run produces (see [`SimError`]).
+    /// [`SimError::Snapshot`] when the snapshot was captured from a
+    /// different module, or when its state section is malformed: bad
+    /// structure (tags, lengths, tensor shapes, trailing bytes) or a
+    /// cross-reference that does not fit this module's plan or the
+    /// restored state (ids, launch ops, frame scopes and block stacks).
+    /// [`Snapshot::decode`] checks only the header and the checksum, so a
+    /// hand-crafted stream with a valid checksum is rejected here.
+    /// Otherwise any error the resumed run produces (see [`SimError`]).
     pub fn resume(&self, snapshot: &Snapshot, options: &SimOptions) -> Result<SimReport, SimError> {
         resume_with_plan(
             &self.module,

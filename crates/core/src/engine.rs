@@ -48,16 +48,10 @@
 use crate::error::{LimitExceeded, LimitKind, Progress};
 use crate::interp::{apply_binary, apply_cmpi, conv2d_int, matmul_int, BinOp};
 use crate::library::{MemSpec, SimLibrary};
-use crate::machine::{
-    AccessKind, Component, ComponentKind, Composite, Connection, Machine, Memory, ProcProfile,
-    Processor, RegisterBehavior,
-};
+use crate::machine::{AccessKind, Machine, ProcProfile, RegisterBehavior};
 use crate::profile::SimReport;
-use crate::signal::{SignalState, SignalTable};
-use crate::snapshot::{
-    err as snap_err, CompKindSnap, CompSnap, ConnSnap, MachineSnap, MemSnap, ModuleFingerprint,
-    ProcSnap, ProfileSnap, Snapshot,
-};
+use crate::signal::SignalTable;
+use crate::snapshot::{err as snap_err, Snapshot};
 use crate::trace::{Trace, TraceCat};
 use crate::value::{BufId, CompId, SignalId, SimValue, Tensor, TensorData};
 pub use crate::{CancelToken, RunLimits, SimError};
@@ -253,107 +247,9 @@ pub(crate) fn resume_with_plan(
     start: Instant,
     snap: &Snapshot,
 ) -> Result<SimReport, SimError> {
-    let mut engine = Engine::from_snapshot(module, plan, library, options, start, snap)?;
+    let mut engine = Engine::restore(module, plan, library, options, start, snap)?;
     engine.run()?;
     Ok(build_report(&mut engine, start))
-}
-
-/// Validates every id a restored [`SimValue`] references, so a resumed
-/// engine never indexes out of range on snapshot-supplied data.
-fn check_value(
-    v: &SimValue,
-    nsig: usize,
-    ncomp: usize,
-    nbuf: usize,
-    nconn: usize,
-) -> Result<(), SimError> {
-    let ok = match v {
-        SimValue::Signal(s) => (s.0 as usize) < nsig,
-        SimValue::Deferred { signal, .. } => (signal.0 as usize) < nsig,
-        SimValue::Component(c) => (c.0 as usize) < ncomp,
-        SimValue::Buffer(b) => (b.0 as usize) < nbuf,
-        SimValue::Connection(c) => (c.0 as usize) < nconn,
-        _ => true,
-    };
-    if ok {
-        Ok(())
-    } else {
-        Err(snap_err("id out of range in a captured value"))
-    }
-}
-
-/// Validates a restored queue event against the plan and arena sizes.
-fn check_event(
-    ev: &PendingEvent,
-    plan: &Plan,
-    nsig: usize,
-    ncomp: usize,
-    nbuf: usize,
-    nconn: usize,
-) -> Result<(), SimError> {
-    if (ev.dep.0 as usize) >= nsig || (ev.done.0 as usize) >= nsig {
-        return Err(snap_err("queued event references an unknown signal"));
-    }
-    match &ev.kind {
-        EventKind::Launch { op, env } => {
-            let Some(OpCode::Launch(info)) = plan.ops.get(op.index()).map(|o| &o.code) else {
-                return Err(snap_err("queued launch does not name a launch op"));
-            };
-            if env.len() != info.frame_len {
-                return Err(snap_err("queued launch environment has the wrong size"));
-            }
-            for v in env.iter().flatten() {
-                check_value(v, nsig, ncomp, nbuf, nconn)?;
-            }
-        }
-        EventKind::Memcpy { src, dst, conn } => {
-            if (src.0 as usize) >= nbuf || (dst.0 as usize) >= nbuf {
-                return Err(snap_err("queued memcpy references an unknown buffer"));
-            }
-            if conn.is_some_and(|c| (c.0 as usize) >= nconn) {
-                return Err(snap_err("queued memcpy references an unknown connection"));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Validates a restored frame: scope layout, block stack, loop state, and
-/// every captured value.
-fn check_frame(
-    frame: &Frame,
-    module: &Module,
-    plan: &Plan,
-    nsig: usize,
-    ncomp: usize,
-    nbuf: usize,
-    nconn: usize,
-) -> Result<(), SimError> {
-    let Some(layout) = plan.scopes.get(frame.scope as usize) else {
-        return Err(snap_err("frame references an unknown scope"));
-    };
-    if frame.env.len() != layout.len {
-        return Err(snap_err(
-            "frame environment does not match its scope layout",
-        ));
-    }
-    if (frame.done.0 as usize) >= nsig {
-        return Err(snap_err("frame done-signal out of range"));
-    }
-    for v in frame.env.iter().flatten() {
-        check_value(v, nsig, ncomp, nbuf, nconn)?;
-    }
-    for scope in &frame.stack {
-        if scope.block.index() >= module.num_blocks() {
-            return Err(snap_err("frame block out of range"));
-        }
-        if let Some(state) = &scope.looping {
-            if state.ivs.iter().any(|&iv| (iv as usize) >= frame.env.len()) {
-                return Err(snap_err("loop induction slot out of range"));
-            }
-        }
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -375,7 +271,7 @@ pub(crate) struct LaunchInfo {
     /// The child frame scope.
     scope: u32,
     /// Environment size of the child frame.
-    frame_len: usize,
+    pub(crate) frame_len: usize,
     /// Free variables the body (transitively) references:
     /// `(parent slot, child slot)`. Values absent in the parent frame are
     /// skipped at spawn, like the original interpreter.
@@ -565,9 +461,9 @@ pub(crate) struct OpInfo {
 
 /// Value numbering of one frame scope.
 #[derive(Debug, Default)]
-struct ScopeLayout {
+pub(crate) struct ScopeLayout {
     /// Environment length (number of slots).
-    len: usize,
+    pub(crate) len: usize,
     /// Slot → value, for diagnostics only.
     values: Vec<ValueId>,
 }
@@ -577,7 +473,11 @@ struct ScopeLayout {
 /// from several threads at once (see [`crate::CompiledModule`]).
 #[derive(Debug)]
 pub(crate) struct Plan {
-    scopes: Vec<ScopeLayout>,
+    pub(crate) scopes: Vec<ScopeLayout>,
+    /// The frame scope each block belongs to, indexed by
+    /// `BlockId::index()`; `NO_SCOPE` for blocks inside erased ops. A
+    /// frame's block stack may only hold blocks of its own scope.
+    pub(crate) block_scope: Vec<u32>,
     /// Indexed by `OpId::index()`. Readable crate-wide so the prepass-facts
     /// view ([`crate::PrepassFacts`]) can walk the decoded ops.
     pub(crate) ops: Vec<OpInfo>,
@@ -713,6 +613,7 @@ impl Plan {
         // `Erased`: they can never execute.
         let mut slot_of: Vec<Slot> = vec![NO_SLOT; module.num_values()];
         let mut scopes: Vec<ScopeLayout> = (0..n).map(|_| ScopeLayout::default()).collect();
+        let mut block_scope: Vec<u32> = vec![NO_SCOPE; module.num_blocks()];
         let mut bodies: Vec<BodySlots> = (0..n).map(|_| BodySlots::default()).collect();
         let mut ops: Vec<OpInfo> = (0..module.num_ops())
             .map(|_| OpInfo {
@@ -754,6 +655,9 @@ impl Plan {
                 len: vals.len(),
                 values: vals,
             };
+            for b in &t.blocks {
+                block_scope[b.index()] = s as u32;
+            }
         }
 
         // -- 5. Fused loop traces: compile static affine loop bodies into
@@ -763,6 +667,7 @@ impl Plan {
         let (fused, fuse_declines) = crate::fused::build_fused(module, &ops);
         Plan {
             scopes,
+            block_scope,
             ops,
             fused,
             fuse_declines,
@@ -1186,9 +1091,9 @@ fn decode_op(
 // Runtime state
 // ---------------------------------------------------------------------------
 
-/// A pending event in a processor's event queue. `pub(crate)` + `Clone` so
-/// the snapshot codec can serialise and restore queues verbatim.
-#[derive(Debug, Clone)]
+/// A pending event in a processor's event queue. `pub(crate)` so the
+/// snapshot codec can write and read queues directly.
+#[derive(Debug)]
 pub(crate) enum EventKind {
     Launch {
         op: OpId,
@@ -1201,7 +1106,7 @@ pub(crate) enum EventKind {
     },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct PendingEvent {
     pub(crate) kind: EventKind,
     pub(crate) dep: SignalId,
@@ -1209,7 +1114,7 @@ pub(crate) struct PendingEvent {
 }
 
 /// Loop bookkeeping for `affine.for` / `affine.parallel` scopes.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct LoopState {
     pub(crate) ivs: Vec<Slot>,
     pub(crate) lowers: Vec<i64>,
@@ -1243,7 +1148,7 @@ impl LoopState {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Scope {
     pub(crate) block: BlockId,
     pub(crate) idx: usize,
@@ -1252,7 +1157,7 @@ pub(crate) struct Scope {
 
 /// An executing launch body: a dense slot-indexed environment plus a block
 /// stack. `scope` names the frame's [`ScopeLayout`] (diagnostics).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Frame {
     pub(crate) env: Vec<Option<SimValue>>,
     pub(crate) stack: Vec<Scope>,
@@ -1343,23 +1248,23 @@ pub(crate) enum Step {
 }
 
 pub(crate) struct Engine<'m> {
-    module: &'m Module,
+    pub(crate) module: &'m Module,
     plan: &'m Plan,
     lib: &'m SimLibrary,
     pub(crate) options: SimOptions,
     pub(crate) machine: Machine,
-    signals: SignalTable,
+    pub(crate) signals: SignalTable,
     /// Per-signal waiter lists: processors whose queue head waits on the
     /// signal, or whose frame is blocked in an `await` on it. Indexed by
     /// signal id (grown lazily). Not serialised — rebuilt from the proc
     /// states on snapshot resume (`rebuild_waiters`).
     waiters: Vec<Vec<usize>>,
     pub(crate) procs: Vec<ProcRuntime>,
-    proc_of_comp: HashMap<CompId, usize>,
+    pub(crate) proc_of_comp: HashMap<CompId, usize>,
     /// Pending wakes `(time, seq, proc)`. `seq` is unique, so ordering is
     /// `(time, seq)` and `proc` never tie-breaks.
     pub(crate) heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    seq: u64,
+    pub(crate) seq: u64,
     pub(crate) now: u64,
     pub(crate) horizon: u64,
     pub(crate) wakes: u64,
@@ -1367,16 +1272,16 @@ pub(crate) struct Engine<'m> {
     /// Events pushed onto processor queues (launches + memcpys issued).
     /// Reported so static spawn-count estimates can be validated against
     /// actual runs; never consulted by limits or scheduling.
-    events_spawned: u64,
+    pub(crate) events_spawned: u64,
     /// Bytes of simultaneously-live tensor storage (for
     /// `max_live_tensor_bytes`).
-    live_tensor_bytes: u64,
+    pub(crate) live_tensor_bytes: u64,
     /// High-water mark of `live_tensor_bytes` over the run (reported; the
     /// static resource-estimation pass upper-bounds it).
-    peak_live_tensor_bytes: u64,
+    pub(crate) peak_live_tensor_bytes: u64,
     /// Successful fused-trace entries (the fusibility report's runtime
     /// ground truth; `0` under `Backend::Interp`).
-    fused_trace_entries: u64,
+    pub(crate) fused_trace_entries: u64,
     /// Loop-bookkeeping iterations that executed no op (empty bodies);
     /// bounded alongside `max_events` so degenerate loops cannot spin the
     /// interpreter forever. Not reported — purely a safety counter.
@@ -1384,7 +1289,7 @@ pub(crate) struct Engine<'m> {
     /// Absolute wall-clock deadline (run start + `wall_deadline`).
     pub(crate) deadline: Option<Instant>,
     trace: Trace,
-    host_mem: Option<CompId>,
+    pub(crate) host_mem: Option<CompId>,
     /// Whether fused loop traces may run this run (backend is
     /// [`Backend::Fused`] and tracing is off).
     fused_on: bool,
@@ -1397,19 +1302,21 @@ pub(crate) struct Engine<'m> {
     pub(crate) snapshot_at: Option<u64>,
     /// Set when [`Engine::run`] returned because it reached `snapshot_at`
     /// (as opposed to draining the heap / completing the program).
-    snapshot_due: bool,
+    pub(crate) snapshot_due: bool,
 }
 
 impl<'m> Engine<'m> {
-    fn new(
+    /// An engine with no hardware, processors, signals or pending events,
+    /// and every counter at zero: what [`Engine::new`] sets up a fresh run
+    /// in and snapshot restore fills from the stream.
+    pub(crate) fn blank(
         module: &'m Module,
         plan: &'m Plan,
         lib: &'m SimLibrary,
         options: &SimOptions,
         start: Instant,
     ) -> Self {
-        let deadline = options.limits.wall_deadline.map(|d| start + d);
-        let mut engine = Engine {
+        Engine {
             module,
             plan,
             lib,
@@ -1430,7 +1337,7 @@ impl<'m> Engine<'m> {
             peak_live_tensor_bytes: 0,
             fused_trace_entries: 0,
             idle_steps: 0,
-            deadline,
+            deadline: options.limits.wall_deadline.map(|d| start + d),
             trace: if options.trace {
                 Trace::new()
             } else {
@@ -1443,7 +1350,17 @@ impl<'m> Engine<'m> {
             fused: crate::fused::FusedScratch::new(plan.fused.len()),
             snapshot_at: None,
             snapshot_due: false,
-        };
+        }
+    }
+
+    fn new(
+        module: &'m Module,
+        plan: &'m Plan,
+        lib: &'m SimLibrary,
+        options: &SimOptions,
+        start: Instant,
+    ) -> Self {
+        let mut engine = Engine::blank(module, plan, lib, options, start);
         // The implicit host processor interprets the top block at time 0;
         // all its ops are free (orchestration, not datapath).
         let host = engine
@@ -1485,309 +1402,6 @@ impl<'m> Engine<'m> {
         self.seq += 1;
     }
 
-    /// Serialises the complete engine state into a [`Snapshot`]. Called
-    /// after [`Engine::run`] returned with `snapshot_at` armed — either
-    /// paused at the cut, or finished early (then the snapshot records the
-    /// terminal state).
-    fn capture(&self, requested: u64) -> Snapshot {
-        let mut heap: Vec<(u64, u64, u32)> = self
-            .heap
-            .iter()
-            .map(|&Reverse((t, s, p))| (t, s, p as u32))
-            .collect();
-        heap.sort_unstable();
-        let actual_cut = heap.first().map_or(self.horizon, |&(t, _, _)| t);
-        let components = self
-            .machine
-            .components
-            .iter()
-            .map(|c| CompSnap {
-                name: c.name.clone(),
-                kind: match &c.kind {
-                    ComponentKind::Processor(p) => CompKindSnap::Processor {
-                        kind: p.kind.clone(),
-                        profile: ProfileSnap::capture(&p.profile),
-                    },
-                    ComponentKind::Memory(m) => CompKindSnap::Memory(MemSnap {
-                        kind: m.kind.clone(),
-                        capacity_elems: m.capacity_elems as u64,
-                        data_bits: m.data_bits,
-                        banks: m.banks,
-                        used_elems: m.used_elems as u64,
-                        behavior: m.behavior.snapshot_behavior(),
-                        ports: m.ports.clone(),
-                        counters: m.counters,
-                        energy_per_access_pj: m.energy_per_access_pj,
-                    }),
-                    ComponentKind::Dma => CompKindSnap::Dma,
-                    ComponentKind::Composite(comp) => CompKindSnap::Composite(
-                        comp.children
-                            .iter()
-                            .map(|(n, id)| (n.clone(), id.0))
-                            .collect(),
-                    ),
-                },
-            })
-            .collect();
-        let connections = self
-            .machine
-            .connections
-            .iter()
-            .map(|c| {
-                let (read_free, write_free) = c.channel_state();
-                ConnSnap {
-                    name: c.name.clone(),
-                    kind: c.kind,
-                    bytes_per_cycle: c.bytes_per_cycle,
-                    read_free,
-                    write_free,
-                    transfers: c.transfers.clone(),
-                }
-            })
-            .collect();
-        Snapshot {
-            requested_cut: requested,
-            actual_cut,
-            completed: !self.snapshot_due,
-            capture_backend: self.options.backend,
-            fingerprint: ModuleFingerprint {
-                num_ops: self.module.num_ops() as u64,
-                num_blocks: self.module.num_blocks() as u64,
-                num_values: self.module.num_values() as u64,
-            },
-            now: self.now,
-            horizon: self.horizon,
-            wakes: self.wakes,
-            ops_interpreted: self.ops_interpreted,
-            events_spawned: self.events_spawned,
-            live_tensor_bytes: self.live_tensor_bytes,
-            peak_live_tensor_bytes: self.peak_live_tensor_bytes,
-            fused_trace_entries: self.fused_trace_entries,
-            idle_steps: self.idle_steps,
-            seq: self.seq,
-            host_mem: self.host_mem.map(|c| c.0),
-            heap,
-            signals: self.signals.signals.clone(),
-            procs: self
-                .procs
-                .iter()
-                .map(|p| ProcSnap {
-                    comp: p.comp.0,
-                    clock: p.clock,
-                    profile: ProfileSnap::capture(&p.profile),
-                    queue: p.queue.iter().cloned().collect(),
-                    frame: p.frame.clone(),
-                })
-                .collect(),
-            machine: MachineSnap {
-                components,
-                buffers: self.machine.buffers.clone(),
-                connections,
-            },
-        }
-    }
-
-    /// Rebuilds a runnable engine from a decoded [`Snapshot`], validating
-    /// every cross-reference so adversarial or mismatched snapshots fail
-    /// with [`SimError::Snapshot`] instead of panicking later. The wall
-    /// deadline restarts from `start`; cycle/event budgets continue from the
-    /// snapshot's counters.
-    fn from_snapshot(
-        module: &'m Module,
-        plan: &'m Plan,
-        lib: &'m SimLibrary,
-        options: &SimOptions,
-        start: Instant,
-        snap: &Snapshot,
-    ) -> Result<Self, SimError> {
-        let fp = ModuleFingerprint {
-            num_ops: module.num_ops() as u64,
-            num_blocks: module.num_blocks() as u64,
-            num_values: module.num_values() as u64,
-        };
-        if snap.fingerprint != fp {
-            return Err(snap_err(
-                "snapshot was captured from a different module (fingerprint mismatch)",
-            ));
-        }
-        let nsig = snap.signals.len();
-        let ncomp = snap.machine.components.len();
-        let nbuf = snap.machine.buffers.len();
-        let nconn = snap.machine.connections.len();
-        let nproc = snap.procs.len();
-        for s in &snap.signals {
-            match s {
-                SignalState::Pending { dependents, .. } => {
-                    if dependents.iter().any(|d| (d.0 as usize) >= nsig) {
-                        return Err(snap_err("signal dependent out of range"));
-                    }
-                }
-                SignalState::Resolved { payload, .. } => {
-                    for v in payload {
-                        check_value(v, nsig, ncomp, nbuf, nconn)?;
-                    }
-                }
-            }
-        }
-        // Rebuild the hardware model.
-        let mut machine = Machine::new();
-        for c in &snap.machine.components {
-            let kind = match &c.kind {
-                CompKindSnap::Processor { kind, profile } => ComponentKind::Processor(Processor {
-                    kind: kind.clone(),
-                    profile: profile.restore(),
-                }),
-                CompKindSnap::Memory(m) => {
-                    if m.ports.is_empty() {
-                        return Err(snap_err("memory with no access ports"));
-                    }
-                    let capacity_elems = usize::try_from(m.capacity_elems)
-                        .map_err(|_| snap_err("memory capacity exceeds the address space"))?;
-                    let used_elems = usize::try_from(m.used_elems)
-                        .map_err(|_| snap_err("memory usage exceeds the address space"))?;
-                    let behavior = match m.behavior.rebuild() {
-                        Some(b) => b,
-                        // Opaque custom model: re-create it from the library
-                        // factory (exact only for stateless models — see
-                        // `MemoryBehavior::snapshot_behavior`).
-                        None => lib.make_memory(&MemSpec {
-                            kind: m.kind.clone(),
-                            capacity_elems,
-                            data_bits: m.data_bits,
-                            banks: m.banks,
-                            attrs: Default::default(),
-                        }),
-                    };
-                    ComponentKind::Memory(Memory {
-                        kind: m.kind.clone(),
-                        capacity_elems,
-                        data_bits: m.data_bits,
-                        banks: m.banks,
-                        used_elems,
-                        behavior,
-                        ports: m.ports.clone(),
-                        counters: m.counters,
-                        energy_per_access_pj: m.energy_per_access_pj,
-                    })
-                }
-                CompKindSnap::Dma => ComponentKind::Dma,
-                CompKindSnap::Composite(children) => {
-                    if children.iter().any(|(_, id)| (*id as usize) >= ncomp) {
-                        return Err(snap_err("composite child out of range"));
-                    }
-                    ComponentKind::Composite(Composite {
-                        children: children
-                            .iter()
-                            .map(|(n, id)| (n.clone(), CompId(*id)))
-                            .collect(),
-                    })
-                }
-            };
-            machine.components.push(Component {
-                name: c.name.clone(),
-                kind,
-            });
-        }
-        for b in &snap.machine.buffers {
-            let mem_ok = matches!(
-                machine.components.get(b.mem.0 as usize),
-                Some(Component {
-                    kind: ComponentKind::Memory(_),
-                    ..
-                })
-            );
-            if !mem_ok {
-                return Err(snap_err("buffer owned by a non-memory component"));
-            }
-        }
-        machine.buffers = snap.machine.buffers.clone();
-        for c in &snap.machine.connections {
-            let mut conn = Connection::new(c.name.clone(), c.kind, c.bytes_per_cycle);
-            conn.restore_channels(c.read_free, c.write_free);
-            conn.transfers = c.transfers.clone();
-            machine.connections.push(conn);
-        }
-        // Rebuild processor runtimes.
-        let mut procs = Vec::with_capacity(nproc);
-        let mut proc_of_comp = HashMap::new();
-        for p in &snap.procs {
-            if (p.comp as usize) >= ncomp {
-                return Err(snap_err("processor component out of range"));
-            }
-            for ev in &p.queue {
-                check_event(ev, plan, nsig, ncomp, nbuf, nconn)?;
-            }
-            if let Some(frame) = &p.frame {
-                check_frame(frame, module, plan, nsig, ncomp, nbuf, nconn)?;
-            }
-            let profile = p.profile.restore();
-            proc_of_comp.insert(CompId(p.comp), procs.len());
-            procs.push(ProcRuntime {
-                comp: CompId(p.comp),
-                queue: p.queue.iter().cloned().collect(),
-                frame: p.frame.clone(),
-                clock: p.clock,
-                hot: HotCycles::from_profile(&profile),
-                profile,
-            });
-        }
-        if snap.heap.iter().any(|&(_, _, p)| (p as usize) >= nproc) {
-            return Err(snap_err("scheduled event targets an unknown processor"));
-        }
-        if let Some(hm) = snap.host_mem {
-            let ok = matches!(
-                machine.components.get(hm as usize),
-                Some(Component {
-                    kind: ComponentKind::Memory(_),
-                    ..
-                })
-            );
-            if !ok {
-                return Err(snap_err("host scratch memory is not a memory"));
-            }
-        }
-        let heap = snap
-            .heap
-            .iter()
-            .map(|&(t, s, p)| Reverse((t, s, p as usize)))
-            .collect();
-        let mut engine = Engine {
-            module,
-            plan,
-            lib,
-            options: options.clone(),
-            machine,
-            signals: SignalTable::from_states(snap.signals.clone()),
-            waiters: vec![],
-            procs,
-            proc_of_comp,
-            heap,
-            seq: snap.seq,
-            now: snap.now,
-            horizon: snap.horizon,
-            wakes: snap.wakes,
-            ops_interpreted: snap.ops_interpreted,
-            events_spawned: snap.events_spawned,
-            live_tensor_bytes: snap.live_tensor_bytes,
-            peak_live_tensor_bytes: snap.peak_live_tensor_bytes,
-            fused_trace_entries: snap.fused_trace_entries,
-            idle_steps: snap.idle_steps,
-            deadline: options.limits.wall_deadline.map(|d| start + d),
-            trace: if options.trace {
-                Trace::new()
-            } else {
-                Trace::disabled()
-            },
-            host_mem: snap.host_mem.map(CompId),
-            fused_on: options.backend == Backend::Fused && !options.trace,
-            fused: crate::fused::FusedScratch::new(plan.fused.len()),
-            snapshot_at: None,
-            snapshot_due: false,
-        };
-        engine.rebuild_waiters();
-        Ok(engine)
-    }
-
     /// Reconstructs the per-signal waiter lists from the processor states
     /// after a snapshot restore. The runtime invariant is: a processor is
     /// registered on a signal iff (a) it is idle and its queue head's
@@ -1796,7 +1410,7 @@ impl<'m> Engine<'m> {
     /// and in either case no wake for it is pending in the heap (a pending
     /// wake re-discovers the block and re-registers when it pops, exactly
     /// as the live engine does).
-    fn rebuild_waiters(&mut self) {
+    pub(crate) fn rebuild_waiters(&mut self) {
         let scheduled: std::collections::HashSet<usize> =
             self.heap.iter().map(|&Reverse((_, _, p))| p).collect();
         for p in 0..self.procs.len() {

@@ -8,6 +8,10 @@
 //! the module up to [`crate::SimOptions::snapshot_at`]) and consumed by
 //! [`crate::CompiledModule::resume`].
 //!
+//! This module is the only one that knows the format: capture writes the
+//! engine's own types straight into the stream, and resume reads the
+//! stream straight back into them.
+//!
 //! # Wire format
 //!
 //! [`Snapshot::encode`] emits a dependency-free, versioned, little-endian
@@ -15,22 +19,32 @@
 //! state sections, and a trailing FNV-1a 64-bit checksum over everything
 //! before it. [`Snapshot::decode`] verifies the checksum first, so any
 //! truncation or byte mutation is rejected with a typed
-//! [`SimError::Snapshot`] — never a panic. Encoding is canonical
+//! [`SimError::Snapshot`] — never a panic. The state section is checked
+//! when [`crate::CompiledModule::resume`] reads it. Encoding is canonical
 //! (deterministic field order, profile maps sorted by key, heap sorted by
-//! `(time, seq)`), so `encode(decode(bytes)) == bytes` for any stream that
-//! decodes successfully.
+//! `(time, seq)`), so one engine state has one encoding.
 //!
 //! The snapshot is RNG-free and wall-clock-free: resuming restarts the
 //! wall-clock budget ([`crate::RunLimits::wall_deadline`]) but continues the
 //! cycle/event budgets from the captured counters.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::VecDeque;
+use std::time::Instant;
 
 use equeue_dialect::ConnKind;
+use equeue_ir::{BlockId, Module, OpId};
 
-use crate::engine::{Backend, EventKind, Frame, LoopState, PendingEvent, Scope};
-use crate::machine::{AccessKind, BehaviorSnapshot, Buffer, MemCounters, ProcProfile, Transfer};
-use crate::signal::SignalState;
+use crate::engine::{
+    Backend, Engine, EventKind, Frame, HotCycles, LoopState, OpCode, PendingEvent, Plan,
+    ProcRuntime, Scope, SimOptions,
+};
+use crate::library::{MemSpec, SimLibrary};
+use crate::machine::{
+    AccessKind, BehaviorSnapshot, Buffer, Component, ComponentKind, Composite, Connection, Machine,
+    MemCounters, Memory, ProcProfile, Processor, Transfer,
+};
+use crate::signal::{SignalState, SignalTable};
 use crate::value::{BufId, CompId, ConnId, SignalId, SimValue, Tensor, TensorData};
 use crate::SimError;
 
@@ -41,104 +55,38 @@ const MAGIC: [u8; 4] = *b"EQSS";
 /// decoding rejects unknown versions.
 pub const FORMAT_VERSION: u32 = 1;
 
+/// Bytes before the state section: magic, version, requested and actual
+/// cut, completion flag, backend tag and the three fingerprint counts.
+const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 1 + 1 + 3 * 8;
+
+/// Bytes of the trailing checksum.
+const CHECKSUM_LEN: usize = 8;
+
+/// Ceiling on every restored counter, cycle time, cost and buffer size:
+/// 2^48, about 78 hours of simulated time at 1 GHz.
+const MAX_COUNT: u64 = 1 << 48;
+
 /// Shape fingerprint of the module a snapshot was captured from, so resuming
 /// against a different module fails with a typed error instead of undefined
 /// replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ModuleFingerprint {
+struct ModuleFingerprint {
     /// Total ops in the module.
-    pub(crate) num_ops: u64,
+    num_ops: u64,
     /// Total blocks in the module.
-    pub(crate) num_blocks: u64,
+    num_blocks: u64,
     /// Total SSA values in the module.
-    pub(crate) num_values: u64,
+    num_values: u64,
 }
 
-/// Captured timing profile of a processor (sorted for canonical encoding).
-#[derive(Debug, Clone)]
-pub(crate) struct ProfileSnap {
-    pub(crate) default_cycles: u64,
-    pub(crate) per_op: Vec<(String, u64)>,
-}
-
-impl ProfileSnap {
-    pub(crate) fn capture(p: &ProcProfile) -> Self {
-        let mut per_op: Vec<(String, u64)> =
-            p.per_op.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        per_op.sort();
-        ProfileSnap {
-            default_cycles: p.default_cycles,
-            per_op,
+impl ModuleFingerprint {
+    fn of(module: &Module) -> Self {
+        ModuleFingerprint {
+            num_ops: module.num_ops() as u64,
+            num_blocks: module.num_blocks() as u64,
+            num_values: module.num_values() as u64,
         }
     }
-
-    pub(crate) fn restore(&self) -> ProcProfile {
-        ProcProfile {
-            default_cycles: self.default_cycles,
-            per_op: self.per_op.iter().cloned().collect::<HashMap<_, _>>(),
-        }
-    }
-}
-
-/// Captured state of one processor runtime.
-#[derive(Debug, Clone)]
-pub(crate) struct ProcSnap {
-    pub(crate) comp: u32,
-    pub(crate) clock: u64,
-    pub(crate) profile: ProfileSnap,
-    pub(crate) queue: Vec<PendingEvent>,
-    pub(crate) frame: Option<Frame>,
-}
-
-/// Captured state of one memory component.
-#[derive(Debug, Clone)]
-pub(crate) struct MemSnap {
-    pub(crate) kind: String,
-    pub(crate) capacity_elems: u64,
-    pub(crate) data_bits: u32,
-    pub(crate) banks: u32,
-    pub(crate) used_elems: u64,
-    pub(crate) behavior: BehaviorSnapshot,
-    pub(crate) ports: Vec<u64>,
-    pub(crate) counters: MemCounters,
-    pub(crate) energy_per_access_pj: f64,
-}
-
-/// Captured component (name + kind-specific state).
-#[derive(Debug, Clone)]
-pub(crate) enum CompKindSnap {
-    Processor { kind: String, profile: ProfileSnap },
-    Memory(MemSnap),
-    Dma,
-    Composite(Vec<(String, u32)>),
-}
-
-/// One captured component instance.
-#[derive(Debug, Clone)]
-pub(crate) struct CompSnap {
-    pub(crate) name: String,
-    pub(crate) kind: CompKindSnap,
-}
-
-/// Captured connection: configuration, channel reservations, and the full
-/// transfer log (the transfer log is what bandwidth statistics are computed
-/// from, so it must round-trip for resumed reports to match).
-#[derive(Debug, Clone)]
-pub(crate) struct ConnSnap {
-    pub(crate) name: String,
-    pub(crate) kind: ConnKind,
-    pub(crate) bytes_per_cycle: u64,
-    pub(crate) read_free: u64,
-    pub(crate) write_free: u64,
-    pub(crate) transfers: Vec<Transfer>,
-}
-
-/// The captured hardware model: components, buffers, connections.
-#[derive(Debug, Clone)]
-pub(crate) struct MachineSnap {
-    pub(crate) components: Vec<CompSnap>,
-    pub(crate) buffers: Vec<Buffer>,
-    pub(crate) connections: Vec<ConnSnap>,
 }
 
 /// Complete engine state at a cycle boundary, resumable via
@@ -185,27 +133,13 @@ pub(crate) struct MachineSnap {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Snapshot {
-    pub(crate) requested_cut: u64,
-    pub(crate) actual_cut: u64,
-    pub(crate) completed: bool,
-    pub(crate) capture_backend: Backend,
-    pub(crate) fingerprint: ModuleFingerprint,
-    pub(crate) now: u64,
-    pub(crate) horizon: u64,
-    pub(crate) wakes: u64,
-    pub(crate) ops_interpreted: u64,
-    pub(crate) events_spawned: u64,
-    pub(crate) live_tensor_bytes: u64,
-    pub(crate) peak_live_tensor_bytes: u64,
-    pub(crate) fused_trace_entries: u64,
-    pub(crate) idle_steps: u64,
-    pub(crate) seq: u64,
-    pub(crate) host_mem: Option<u32>,
-    /// Pending scheduler events, sorted ascending by `(time, seq, proc)`.
-    pub(crate) heap: Vec<(u64, u64, u32)>,
-    pub(crate) signals: Vec<SignalState>,
-    pub(crate) procs: Vec<ProcSnap>,
-    pub(crate) machine: MachineSnap,
+    requested_cut: u64,
+    actual_cut: u64,
+    completed: bool,
+    capture_backend: Backend,
+    fingerprint: ModuleFingerprint,
+    /// The checksummed stream, exactly as [`Snapshot::encode`] returns it.
+    bytes: Vec<u8>,
 }
 
 impl Snapshot {
@@ -238,70 +172,23 @@ impl Snapshot {
 
     /// Serialises to the versioned binary wire format (see module docs).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.bytes(&MAGIC);
-        w.u32(FORMAT_VERSION);
-        w.u64(self.requested_cut);
-        w.u64(self.actual_cut);
-        w.boolean(self.completed);
-        w.u8(match self.capture_backend {
-            Backend::Interp => 0,
-            Backend::Fused => 1,
-        });
-        w.u64(self.fingerprint.num_ops);
-        w.u64(self.fingerprint.num_blocks);
-        w.u64(self.fingerprint.num_values);
-        for c in [
-            self.now,
-            self.horizon,
-            self.wakes,
-            self.ops_interpreted,
-            self.events_spawned,
-            self.live_tensor_bytes,
-            self.peak_live_tensor_bytes,
-            self.fused_trace_entries,
-            self.idle_steps,
-            self.seq,
-        ] {
-            w.u64(c);
-        }
-        w.opt_u32(self.host_mem);
-        w.seq_len(self.heap.len());
-        for &(t, s, p) in &self.heap {
-            w.u64(t);
-            w.u64(s);
-            w.u32(p);
-        }
-        w.seq_len(self.signals.len());
-        for s in &self.signals {
-            w_signal_state(&mut w, s);
-        }
-        w.seq_len(self.procs.len());
-        for p in &self.procs {
-            w_proc(&mut w, p);
-        }
-        w_machine(&mut w, &self.machine);
-        let checksum = fnv1a(&w.buf);
-        w.u64(checksum);
-        w.buf
+        self.bytes.clone()
     }
 
     /// Deserialises a snapshot from `bytes`.
     ///
     /// # Errors
     ///
-    /// [`SimError::Snapshot`] on bad magic, unknown version, checksum
-    /// mismatch (any truncation or mutation), or a structurally invalid
-    /// stream. Never panics.
+    /// [`SimError::Snapshot`] on a stream shorter than the header, a
+    /// checksum mismatch (any truncation or mutation), bad magic, an
+    /// unknown version or a malformed header. The state section is
+    /// checked later, by [`crate::CompiledModule::resume`]. Never panics.
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, SimError> {
-        // Checksum first: everything after this point may assume the stream
-        // is the untampered output of `encode` (structural validation is
-        // still performed — defence in depth for hand-crafted streams).
-        if bytes.len() < MAGIC.len() + 4 + 8 {
+        if bytes.len() < HEADER_LEN + CHECKSUM_LEN {
             return Err(err("stream shorter than the fixed header"));
         }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let mut stored = [0u8; 8];
+        let (body, tail) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
+        let mut stored = [0u8; CHECKSUM_LEN];
         stored.copy_from_slice(tail);
         if fnv1a(body) != u64::from_le_bytes(stored) {
             return Err(err("checksum mismatch (truncated or corrupted stream)"));
@@ -316,70 +203,21 @@ impl Snapshot {
                 "unknown format version {version} (supported: {FORMAT_VERSION})"
             )));
         }
-        let requested_cut = r.u64()?;
-        let actual_cut = r.u64()?;
-        let completed = r.boolean()?;
-        let capture_backend = match r.u8()? {
-            0 => Backend::Interp,
-            1 => Backend::Fused,
-            t => return Err(err(&format!("unknown backend tag {t}"))),
-        };
-        let fingerprint = ModuleFingerprint {
-            num_ops: r.u64()?,
-            num_blocks: r.u64()?,
-            num_values: r.u64()?,
-        };
-        let now = r.u64()?;
-        let horizon = r.u64()?;
-        let wakes = r.u64()?;
-        let ops_interpreted = r.u64()?;
-        let events_spawned = r.u64()?;
-        let live_tensor_bytes = r.u64()?;
-        let peak_live_tensor_bytes = r.u64()?;
-        let fused_trace_entries = r.u64()?;
-        let idle_steps = r.u64()?;
-        let seq = r.u64()?;
-        let host_mem = r.opt_u32()?;
-        let n = r.seq_len(8 + 8 + 4)?;
-        let mut heap = Vec::with_capacity(n);
-        for _ in 0..n {
-            heap.push((r.u64()?, r.u64()?, r.u32()?));
-        }
-        let n = r.seq_len(1)?;
-        let mut signals = Vec::with_capacity(n);
-        for _ in 0..n {
-            signals.push(r_signal_state(&mut r)?);
-        }
-        let n = r.seq_len(1)?;
-        let mut procs = Vec::with_capacity(n);
-        for _ in 0..n {
-            procs.push(r_proc(&mut r)?);
-        }
-        let machine = r_machine(&mut r)?;
-        if !r.at_end() {
-            return Err(err("trailing bytes after the machine section"));
-        }
         Ok(Snapshot {
-            requested_cut,
-            actual_cut,
-            completed,
-            capture_backend,
-            fingerprint,
-            now,
-            horizon,
-            wakes,
-            ops_interpreted,
-            events_spawned,
-            live_tensor_bytes,
-            peak_live_tensor_bytes,
-            fused_trace_entries,
-            idle_steps,
-            seq,
-            host_mem,
-            heap,
-            signals,
-            procs,
-            machine,
+            requested_cut: r.u64()?,
+            actual_cut: r.u64()?,
+            completed: r.boolean()?,
+            capture_backend: match r.u8()? {
+                0 => Backend::Interp,
+                1 => Backend::Fused,
+                t => return Err(err(&format!("unknown backend tag {t}"))),
+            },
+            fingerprint: ModuleFingerprint {
+                num_ops: r.u64()?,
+                num_blocks: r.u64()?,
+                num_values: r.u64()?,
+            },
+            bytes: bytes.to_vec(),
         })
     }
 }
@@ -397,6 +235,187 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+// ---------------------------------------------------------------------------
+// Capture and restore
+// ---------------------------------------------------------------------------
+
+impl<'m> Engine<'m> {
+    /// Serialises the complete engine state into a [`Snapshot`]. Called
+    /// after [`Engine::run`] returned with `snapshot_at` armed — either
+    /// paused at the cut, or finished early (then the snapshot records the
+    /// terminal state).
+    pub(crate) fn capture(&self, requested: u64) -> Snapshot {
+        let mut heap: Vec<(u64, u64, usize)> = self.heap.iter().map(|&Reverse(e)| e).collect();
+        heap.sort_unstable();
+        let actual_cut = heap.first().map_or(self.horizon, |&(t, _, _)| t);
+        let completed = !self.snapshot_due;
+        let capture_backend = self.options.backend;
+        let fingerprint = ModuleFingerprint::of(self.module);
+        let mut w = Writer::new();
+        w.bytes(&MAGIC);
+        w.u32(FORMAT_VERSION);
+        w.u64(requested);
+        w.u64(actual_cut);
+        w.boolean(completed);
+        w.u8(match capture_backend {
+            Backend::Interp => 0,
+            Backend::Fused => 1,
+        });
+        w.u64(fingerprint.num_ops);
+        w.u64(fingerprint.num_blocks);
+        w.u64(fingerprint.num_values);
+        for c in [
+            self.now,
+            self.horizon,
+            self.wakes,
+            self.ops_interpreted,
+            self.events_spawned,
+            self.live_tensor_bytes,
+            self.peak_live_tensor_bytes,
+            self.fused_trace_entries,
+            self.idle_steps,
+            self.seq,
+        ] {
+            w.u64(c);
+        }
+        w.opt_u32(self.host_mem.map(|c| c.0));
+        w.seq_len(heap.len());
+        for (t, s, p) in heap {
+            w.u64(t);
+            w.u64(s);
+            w.u32(p as u32);
+        }
+        w.seq_len(self.signals.signals.len());
+        for s in &self.signals.signals {
+            w_signal_state(&mut w, s);
+        }
+        w.seq_len(self.procs.len());
+        for p in &self.procs {
+            w_proc(&mut w, p);
+        }
+        w_machine(&mut w, &self.machine);
+        let checksum = fnv1a(&w.buf);
+        w.u64(checksum);
+        Snapshot {
+            requested_cut: requested,
+            actual_cut,
+            completed,
+            capture_backend,
+            fingerprint,
+            bytes: w.buf,
+        }
+    }
+
+    /// Rebuilds a runnable engine from a [`Snapshot`], reading its state
+    /// section once, straight into engine types. Every value is checked as
+    /// it is read, so a hostile or mismatched stream fails with
+    /// [`SimError::Snapshot`] instead of panicking later. The wall deadline
+    /// restarts from `start`; cycle/event budgets continue from the
+    /// snapshot's counters.
+    pub(crate) fn restore(
+        module: &'m Module,
+        plan: &'m Plan,
+        lib: &'m SimLibrary,
+        options: &SimOptions,
+        start: Instant,
+        snap: &Snapshot,
+    ) -> Result<Self, SimError> {
+        if snap.fingerprint != ModuleFingerprint::of(module) {
+            return Err(err(
+                "snapshot was captured from a different module (fingerprint mismatch)",
+            ));
+        }
+        let state = &snap.bytes[HEADER_LEN..snap.bytes.len() - CHECKSUM_LEN];
+        let mut s = StateReader::new(state, plan);
+        let mut e = Engine::blank(module, plan, lib, options, start);
+        for c in [
+            &mut e.now,
+            &mut e.horizon,
+            &mut e.wakes,
+            &mut e.ops_interpreted,
+            &mut e.events_spawned,
+            &mut e.live_tensor_bytes,
+            &mut e.peak_live_tensor_bytes,
+            &mut e.fused_trace_entries,
+            &mut e.idle_steps,
+            &mut e.seq,
+        ] {
+            *c = s.r.count()?;
+        }
+        let host_mem = s.opt(StateReader::comp)?;
+        let n = s.r.seq_len(8 + 8 + 4)?;
+        let mut heap = Vec::with_capacity(n);
+        for _ in 0..n {
+            heap.push((s.r.count()?, s.r.count()?, s.r.u32()? as usize));
+        }
+        // Signal ids in the sections below are checked against this count.
+        s.nsig = s.r.seq_len(1)?;
+        let mut signals = Vec::with_capacity(s.nsig);
+        for _ in 0..s.nsig {
+            signals.push(s.signal_state()?);
+        }
+        e.signals = SignalTable::from_states(signals);
+        let n = s.r.seq_len(1)?;
+        for p in 0..n {
+            let proc = s.proc()?;
+            e.proc_of_comp.insert(proc.comp, p);
+            e.procs.push(proc);
+        }
+        if heap.iter().any(|&(_, _, p)| p >= n) {
+            return Err(err("scheduled event targets an unknown processor"));
+        }
+        e.heap = heap.into_iter().map(Reverse).collect();
+        e.machine = s.machine(lib)?;
+        if !s.r.at_end() {
+            return Err(err("trailing bytes after the machine section"));
+        }
+        s.check_refs(&e.machine)?;
+        if host_mem.is_some_and(|c| !is_memory(&e.machine, c)) {
+            return Err(err("host scratch memory is not a memory"));
+        }
+        e.host_mem = host_mem;
+        e.rebuild_waiters();
+        Ok(e)
+    }
+}
+
+/// Whether `comp` names a memory component of `machine`.
+fn is_memory(machine: &Machine, comp: CompId) -> bool {
+    matches!(
+        machine.components.get(comp.0 as usize),
+        Some(Component {
+            kind: ComponentKind::Memory(_),
+            ..
+        })
+    )
+}
+
+/// Checks what allocation guarantees of a buffer: it lies inside a memory,
+/// its data holds exactly its element count, and its size in bytes is
+/// within [`MAX_COUNT`].
+fn check_buffer(machine: &Machine, b: &Buffer) -> Result<(), SimError> {
+    let Some(Component {
+        kind: ComponentKind::Memory(mem),
+        ..
+    }) = machine.components.get(b.mem.0 as usize)
+    else {
+        return Err(err("buffer owned by a non-memory component"));
+    };
+    let elems = b
+        .shape
+        .iter()
+        .try_fold(1usize, |acc, &d| acc.checked_mul(d));
+    let end = elems.and_then(|e| b.base_addr.checked_add(e));
+    if end.is_none_or(|end| end > mem.capacity_elems) {
+        return Err(err("buffer lies outside its memory"));
+    }
+    let bytes = elems.and_then(|e| e.checked_mul(b.elem_bytes));
+    if elems != Some(b.data.data.len()) || bytes.is_none_or(|n| n as u64 > MAX_COUNT) {
+        return Err(err("buffer size does not match its data"));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -533,6 +552,17 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// Reads a counter, cycle time or cost. A real run stays far below
+    /// [`MAX_COUNT`]; rejecting larger values leaves a resumed run the
+    /// headroom its increments and sums need to never overflow.
+    fn count(&mut self) -> Result<u64, SimError> {
+        let v = self.u64()?;
+        if v > MAX_COUNT {
+            return Err(err("counter, time or cost out of range"));
+        }
+        Ok(v)
+    }
+
     fn usize(&mut self) -> Result<usize, SimError> {
         usize::try_from(self.u64()?).map_err(|_| err("count exceeds the address space"))
     }
@@ -553,13 +583,312 @@ impl<'a> Reader<'a> {
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| err("invalid utf-8 in string"))
     }
+}
 
-    fn opt_u32(&mut self) -> Result<Option<u32>, SimError> {
-        match self.u8()? {
+/// Reads the state section into engine types, checking each value against
+/// the plan and the signal table as it is read. Component, buffer and
+/// connection ids are forward references (the machine section comes
+/// last), so the reader records one past the largest id of each kind and
+/// [`StateReader::check_refs`] checks them once the machine is read.
+struct StateReader<'a, 'm> {
+    r: Reader<'a>,
+    plan: &'m Plan,
+    /// Signals in the table; zero until the signal section is reached.
+    nsig: usize,
+    comps: usize,
+    bufs: usize,
+    conns: usize,
+}
+
+impl<'a, 'm> StateReader<'a, 'm> {
+    fn new(state: &'a [u8], plan: &'m Plan) -> Self {
+        StateReader {
+            r: Reader::new(state),
+            plan,
+            nsig: 0,
+            comps: 0,
+            bufs: 0,
+            conns: 0,
+        }
+    }
+
+    /// Reads an option tag, then the value with `read`.
+    fn opt<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, SimError>,
+    ) -> Result<Option<T>, SimError> {
+        match self.r.u8()? {
             0 => Ok(None),
-            1 => Ok(Some(self.u32()?)),
+            1 => Ok(Some(read(self)?)),
             t => Err(err(&format!("bad option tag {t}"))),
         }
+    }
+
+    fn signal(&mut self) -> Result<SignalId, SimError> {
+        let id = self.r.u32()?;
+        if id as usize >= self.nsig {
+            return Err(err("signal id out of range"));
+        }
+        Ok(SignalId(id))
+    }
+
+    fn comp(&mut self) -> Result<CompId, SimError> {
+        let id = self.r.u32()?;
+        self.comps = self.comps.max(id as usize + 1);
+        Ok(CompId(id))
+    }
+
+    fn buf(&mut self) -> Result<BufId, SimError> {
+        let id = self.r.u32()?;
+        self.bufs = self.bufs.max(id as usize + 1);
+        Ok(BufId(id))
+    }
+
+    fn conn(&mut self) -> Result<ConnId, SimError> {
+        let id = self.r.u32()?;
+        self.conns = self.conns.max(id as usize + 1);
+        Ok(ConnId(id))
+    }
+
+    /// Checks the forward references recorded while reading against the
+    /// machine they point into.
+    fn check_refs(&self, machine: &Machine) -> Result<(), SimError> {
+        if self.comps > machine.components.len() {
+            return Err(err("captured state references an unknown component"));
+        }
+        if self.bufs > machine.buffers.len() {
+            return Err(err("captured state references an unknown buffer"));
+        }
+        if self.conns > machine.connections.len() {
+            return Err(err("captured state references an unknown connection"));
+        }
+        Ok(())
+    }
+
+    fn value(&mut self) -> Result<SimValue, SimError> {
+        Ok(match self.r.u8()? {
+            0 => SimValue::Unit,
+            1 => SimValue::Int(self.r.i64()?),
+            2 => SimValue::Float(self.r.f64()?),
+            3 => SimValue::Tensor(r_tensor(&mut self.r)?),
+            4 => SimValue::Signal(self.signal()?),
+            5 => SimValue::Component(self.comp()?),
+            6 => SimValue::Buffer(self.buf()?),
+            7 => SimValue::Connection(self.conn()?),
+            8 => SimValue::Deferred {
+                signal: self.signal()?,
+                index: self.r.usize()?,
+            },
+            t => return Err(err(&format!("unknown value tag {t}"))),
+        })
+    }
+
+    /// A frame or launch environment: a sequence of optional values.
+    fn env(&mut self) -> Result<Vec<Option<SimValue>>, SimError> {
+        let n = self.r.seq_len(1)?;
+        let mut env = Vec::with_capacity(n);
+        for _ in 0..n {
+            env.push(self.opt(Self::value)?);
+        }
+        Ok(env)
+    }
+
+    fn signal_state(&mut self) -> Result<SignalState, SimError> {
+        Ok(match self.r.u8()? {
+            0 => {
+                let remaining = self.r.usize()?;
+                let time_acc = self.r.u64()?;
+                let any_mode = self.r.boolean()?;
+                let n = self.r.seq_len(4)?;
+                let mut dependents = Vec::with_capacity(n);
+                for _ in 0..n {
+                    dependents.push(self.signal()?);
+                }
+                SignalState::Pending {
+                    remaining,
+                    time_acc,
+                    any_mode,
+                    dependents,
+                }
+            }
+            1 => {
+                let time = self.r.count()?;
+                let n = self.r.seq_len(1)?;
+                let mut payload = Vec::with_capacity(n);
+                for _ in 0..n {
+                    payload.push(self.value()?);
+                }
+                SignalState::Resolved { time, payload }
+            }
+            t => return Err(err(&format!("unknown signal-state tag {t}"))),
+        })
+    }
+
+    fn event(&mut self) -> Result<PendingEvent, SimError> {
+        let kind = match self.r.u8()? {
+            0 => {
+                let op = OpId::from_index(self.r.usize()?);
+                let env = self.env()?;
+                let Some(OpCode::Launch(info)) = self.plan.ops.get(op.index()).map(|o| &o.code)
+                else {
+                    return Err(err("queued launch does not name a launch op"));
+                };
+                if env.len() != info.frame_len {
+                    return Err(err("queued launch environment has the wrong size"));
+                }
+                EventKind::Launch { op, env }
+            }
+            1 => EventKind::Memcpy {
+                src: self.buf()?,
+                dst: self.buf()?,
+                conn: self.opt(Self::conn)?,
+            },
+            t => return Err(err(&format!("unknown event tag {t}"))),
+        };
+        Ok(PendingEvent {
+            kind,
+            dep: self.signal()?,
+            done: self.signal()?,
+        })
+    }
+
+    /// Reads a frame and checks it against its scope layout: environment
+    /// size, block stack and loop induction slots.
+    fn frame(&mut self) -> Result<Frame, SimError> {
+        let env = self.env()?;
+        let n = self.r.seq_len(1)?;
+        let mut stack = Vec::with_capacity(n);
+        for _ in 0..n {
+            stack.push(Scope {
+                block: BlockId::from_index(self.r.usize()?),
+                idx: self.r.usize()?,
+                looping: self.opt(|s| r_loop_state(&mut s.r))?,
+            });
+        }
+        let done = self.signal()?;
+        let scope = self.r.u32()?;
+        let Some(layout) = self.plan.scopes.get(scope as usize) else {
+            return Err(err("frame references an unknown scope"));
+        };
+        if env.len() != layout.len {
+            return Err(err("frame environment does not match its scope layout"));
+        }
+        for s in &stack {
+            // The plan's slots for a block's ops index its own scope's
+            // layout, so a foreign block would index past `env`.
+            if self.plan.block_scope.get(s.block.index()) != Some(&scope) {
+                return Err(err("frame block lies outside the frame's scope"));
+            }
+            if let Some(state) = &s.looping {
+                if state.ivs.iter().any(|&iv| iv as usize >= env.len()) {
+                    return Err(err("loop induction slot out of range"));
+                }
+            }
+        }
+        Ok(Frame {
+            env,
+            stack,
+            done,
+            scope,
+        })
+    }
+
+    fn proc(&mut self) -> Result<ProcRuntime, SimError> {
+        let comp = self.comp()?;
+        let clock = self.r.count()?;
+        let profile = r_profile(&mut self.r)?;
+        let n = self.r.seq_len(1)?;
+        let mut queue = VecDeque::with_capacity(n);
+        for _ in 0..n {
+            queue.push_back(self.event()?);
+        }
+        Ok(ProcRuntime {
+            comp,
+            queue,
+            frame: self.opt(Self::frame)?,
+            clock,
+            hot: HotCycles::from_profile(&profile),
+            profile,
+        })
+    }
+
+    fn machine(&mut self, lib: &SimLibrary) -> Result<Machine, SimError> {
+        let r = &mut self.r;
+        let mut machine = Machine::new();
+        let ncomp = r.seq_len(1)?;
+        for _ in 0..ncomp {
+            let name = r.string()?;
+            let kind = match r.u8()? {
+                0 => ComponentKind::Processor(Processor {
+                    kind: r.string()?,
+                    profile: r_profile(r)?,
+                }),
+                1 => ComponentKind::Memory(r_memory(r, lib)?),
+                2 => ComponentKind::Dma,
+                3 => {
+                    let n = r.seq_len(1)?;
+                    let mut children = Vec::with_capacity(n);
+                    for _ in 0..n {
+                        let name = r.string()?;
+                        let id = r.u32()?;
+                        if id as usize >= ncomp {
+                            return Err(err("composite child out of range"));
+                        }
+                        children.push((name, CompId(id)));
+                    }
+                    ComponentKind::Composite(Composite { children })
+                }
+                t => return Err(err(&format!("unknown component tag {t}"))),
+            };
+            machine.components.push(Component { name, kind });
+        }
+        let n = r.seq_len(1)?;
+        for _ in 0..n {
+            let mem = CompId(r.u32()?);
+            let rank = r.seq_len(8)?;
+            let mut shape = Vec::with_capacity(rank);
+            for _ in 0..rank {
+                shape.push(r.usize()?);
+            }
+            let buffer = Buffer {
+                mem,
+                shape,
+                elem_bytes: r.usize()?,
+                base_addr: r.usize()?,
+                live: r.boolean()?,
+                data: r_tensor(r)?,
+            };
+            check_buffer(&machine, &buffer)?;
+            machine.buffers.push(buffer);
+        }
+        let n = r.seq_len(1)?;
+        for _ in 0..n {
+            let name = r.string()?;
+            let kind = match r.u8()? {
+                0 => ConnKind::Streaming,
+                1 => ConnKind::Window,
+                t => return Err(err(&format!("unknown connection tag {t}"))),
+            };
+            let mut conn = Connection::new(name, kind, r.count()?);
+            let read_free = r.count()?;
+            conn.restore_channels(read_free, r.count()?);
+            let m = r.seq_len(8 + 8 + 8 + 1)?;
+            conn.transfers.reserve(m);
+            for _ in 0..m {
+                conn.transfers.push(Transfer {
+                    start: r.count()?,
+                    end: r.count()?,
+                    bytes: r.count()?,
+                    kind: match r.u8()? {
+                        0 => AccessKind::Read,
+                        1 => AccessKind::Write,
+                        t => return Err(err(&format!("unknown access tag {t}"))),
+                    },
+                });
+            }
+            machine.connections.push(conn);
+        }
+        Ok(machine)
     }
 }
 
@@ -606,39 +935,17 @@ fn w_value(w: &mut Writer, v: &SimValue) {
     }
 }
 
-fn r_value(r: &mut Reader) -> Result<SimValue, SimError> {
-    Ok(match r.u8()? {
-        0 => SimValue::Unit,
-        1 => SimValue::Int(r.i64()?),
-        2 => SimValue::Float(r.f64()?),
-        3 => SimValue::Tensor(r_tensor(r)?),
-        4 => SimValue::Signal(SignalId(r.u32()?)),
-        5 => SimValue::Component(CompId(r.u32()?)),
-        6 => SimValue::Buffer(BufId(r.u32()?)),
-        7 => SimValue::Connection(ConnId(r.u32()?)),
-        8 => SimValue::Deferred {
-            signal: SignalId(r.u32()?),
-            index: r.usize()?,
-        },
-        t => return Err(err(&format!("unknown value tag {t}"))),
-    })
-}
-
-fn w_opt_value(w: &mut Writer, v: &Option<SimValue>) {
-    match v {
-        None => w.u8(0),
-        Some(x) => {
-            w.u8(1);
-            w_value(w, x);
+/// A frame or launch environment: a sequence of optional values.
+fn w_env(w: &mut Writer, env: &[Option<SimValue>]) {
+    w.seq_len(env.len());
+    for v in env {
+        match v {
+            None => w.u8(0),
+            Some(x) => {
+                w.u8(1);
+                w_value(w, x);
+            }
         }
-    }
-}
-
-fn r_opt_value(r: &mut Reader) -> Result<Option<SimValue>, SimError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r_value(r)?)),
-        t => Err(err(&format!("bad option tag {t}"))),
     }
 }
 
@@ -695,11 +1002,7 @@ fn r_tensor(r: &mut Reader) -> Result<Tensor, SimError> {
         acc.checked_mul(d)
             .ok_or_else(|| err("tensor shape overflows the address space"))
     })?;
-    let len = match &data {
-        TensorData::Int(v) => v.len(),
-        TensorData::Float(v) => v.len(),
-    };
-    if elems != len {
+    if elems != data.len() {
         return Err(err("tensor data length does not match its shape"));
     }
     Ok(Tensor { shape, data })
@@ -733,37 +1036,6 @@ fn w_signal_state(w: &mut Writer, s: &SignalState) {
     }
 }
 
-fn r_signal_state(r: &mut Reader) -> Result<SignalState, SimError> {
-    Ok(match r.u8()? {
-        0 => {
-            let remaining = r.usize()?;
-            let time_acc = r.u64()?;
-            let any_mode = r.boolean()?;
-            let n = r.seq_len(4)?;
-            let mut dependents = Vec::with_capacity(n);
-            for _ in 0..n {
-                dependents.push(SignalId(r.u32()?));
-            }
-            SignalState::Pending {
-                remaining,
-                time_acc,
-                any_mode,
-                dependents,
-            }
-        }
-        1 => {
-            let time = r.u64()?;
-            let n = r.seq_len(1)?;
-            let mut payload = Vec::with_capacity(n);
-            for _ in 0..n {
-                payload.push(r_value(r)?);
-            }
-            SignalState::Resolved { time, payload }
-        }
-        t => return Err(err(&format!("unknown signal-state tag {t}"))),
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Engine-state codecs
 // ---------------------------------------------------------------------------
@@ -773,10 +1045,7 @@ fn w_event(w: &mut Writer, e: &PendingEvent) {
         EventKind::Launch { op, env } => {
             w.u8(0);
             w.usize(op.index());
-            w.seq_len(env.len());
-            for v in env {
-                w_opt_value(w, v);
-            }
+            w_env(w, env);
         }
         EventKind::Memcpy { src, dst, conn } => {
             w.u8(1);
@@ -787,31 +1056,6 @@ fn w_event(w: &mut Writer, e: &PendingEvent) {
     }
     w.u32(e.dep.0);
     w.u32(e.done.0);
-}
-
-fn r_event(r: &mut Reader) -> Result<PendingEvent, SimError> {
-    let kind = match r.u8()? {
-        0 => {
-            let op = equeue_ir::OpId::from_index(r.usize()?);
-            let n = r.seq_len(1)?;
-            let mut env = Vec::with_capacity(n);
-            for _ in 0..n {
-                env.push(r_opt_value(r)?);
-            }
-            EventKind::Launch { op, env }
-        }
-        1 => EventKind::Memcpy {
-            src: BufId(r.u32()?),
-            dst: BufId(r.u32()?),
-            conn: r.opt_u32()?.map(ConnId),
-        },
-        t => return Err(err(&format!("unknown event tag {t}"))),
-    };
-    Ok(PendingEvent {
-        kind,
-        dep: SignalId(r.u32()?),
-        done: SignalId(r.u32()?),
-    })
 }
 
 fn w_loop_state(w: &mut Writer, s: &LoopState) {
@@ -859,10 +1103,7 @@ fn r_loop_state(r: &mut Reader) -> Result<LoopState, SimError> {
 }
 
 fn w_frame(w: &mut Writer, f: &Frame) {
-    w.seq_len(f.env.len());
-    for v in &f.env {
-        w_opt_value(w, v);
-    }
+    w_env(w, &f.env);
     w.seq_len(f.stack.len());
     for s in &f.stack {
         w.usize(s.block.index());
@@ -879,60 +1120,33 @@ fn w_frame(w: &mut Writer, f: &Frame) {
     w.u32(f.scope);
 }
 
-fn r_frame(r: &mut Reader) -> Result<Frame, SimError> {
-    let n = r.seq_len(1)?;
-    let mut env = Vec::with_capacity(n);
-    for _ in 0..n {
-        env.push(r_opt_value(r)?);
-    }
-    let n = r.seq_len(1)?;
-    let mut stack = Vec::with_capacity(n);
-    for _ in 0..n {
-        let block = equeue_ir::BlockId::from_index(r.usize()?);
-        let idx = r.usize()?;
-        let looping = match r.u8()? {
-            0 => None,
-            1 => Some(r_loop_state(r)?),
-            t => return Err(err(&format!("bad option tag {t}"))),
-        };
-        stack.push(Scope {
-            block,
-            idx,
-            looping,
-        });
-    }
-    Ok(Frame {
-        env,
-        stack,
-        done: SignalId(r.u32()?),
-        scope: r.u32()?,
-    })
-}
-
-fn w_profile(w: &mut Writer, p: &ProfileSnap) {
+/// Writes a profile with `per_op` sorted by key, so one profile has one
+/// encoding whatever the hash map's iteration order.
+fn w_profile(w: &mut Writer, p: &ProcProfile) {
     w.u64(p.default_cycles);
-    w.seq_len(p.per_op.len());
-    for (name, cycles) in &p.per_op {
+    let mut per_op: Vec<(&String, &u64)> = p.per_op.iter().collect();
+    per_op.sort_unstable();
+    w.seq_len(per_op.len());
+    for (name, &cycles) in per_op {
         w.string(name);
-        w.u64(*cycles);
+        w.u64(cycles);
     }
 }
 
-fn r_profile(r: &mut Reader) -> Result<ProfileSnap, SimError> {
-    let default_cycles = r.u64()?;
+fn r_profile(r: &mut Reader) -> Result<ProcProfile, SimError> {
+    let default_cycles = r.count()?;
     let n = r.seq_len(1)?;
-    let mut per_op = Vec::with_capacity(n);
+    let mut profile = ProcProfile::uniform(default_cycles);
+    profile.per_op.reserve(n);
     for _ in 0..n {
-        per_op.push((r.string()?, r.u64()?));
+        let name = r.string()?;
+        profile.per_op.insert(name, r.count()?);
     }
-    Ok(ProfileSnap {
-        default_cycles,
-        per_op,
-    })
+    Ok(profile)
 }
 
-fn w_proc(w: &mut Writer, p: &ProcSnap) {
-    w.u32(p.comp);
+fn w_proc(w: &mut Writer, p: &ProcRuntime) {
+    w.u32(p.comp.0);
     w.u64(p.clock);
     w_profile(w, &p.profile);
     w.seq_len(p.queue.len());
@@ -946,29 +1160,6 @@ fn w_proc(w: &mut Writer, p: &ProcSnap) {
             w_frame(w, f);
         }
     }
-}
-
-fn r_proc(r: &mut Reader) -> Result<ProcSnap, SimError> {
-    let comp = r.u32()?;
-    let clock = r.u64()?;
-    let profile = r_profile(r)?;
-    let n = r.seq_len(1)?;
-    let mut queue = Vec::with_capacity(n);
-    for _ in 0..n {
-        queue.push(r_event(r)?);
-    }
-    let frame = match r.u8()? {
-        0 => None,
-        1 => Some(r_frame(r)?),
-        t => return Err(err(&format!("bad option tag {t}"))),
-    };
-    Ok(ProcSnap {
-        comp,
-        clock,
-        profile,
-        queue,
-        frame,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1023,19 +1214,19 @@ fn w_behavior(w: &mut Writer, b: &BehaviorSnapshot) {
 fn r_behavior(r: &mut Reader) -> Result<BehaviorSnapshot, SimError> {
     Ok(match r.u8()? {
         0 => BehaviorSnapshot::Sram {
-            cycles_per_access: r.u64()?,
+            cycles_per_access: r.count()?,
         },
         1 => BehaviorSnapshot::Register,
         2 => BehaviorSnapshot::Dram {
-            latency: r.u64()?,
-            cycles_per_access: r.u64()?,
+            latency: r.count()?,
+            cycles_per_access: r.count()?,
         },
         3 => {
             let sets = r.usize()?;
             let ways = r.usize()?;
             let line_elems = r.usize()?;
-            let hit_cycles = r.u64()?;
-            let miss_cycles = r.u64()?;
+            let hit_cycles = r.count()?;
+            let miss_cycles = r.count()?;
             let n = r.seq_len(8)?;
             let mut tags = Vec::with_capacity(n);
             for _ in 0..n {
@@ -1053,8 +1244,8 @@ fn r_behavior(r: &mut Reader) -> Result<BehaviorSnapshot, SimError> {
                 hit_cycles,
                 miss_cycles,
                 tags,
-                hits: r.u64()?,
-                misses: r.u64()?,
+                hits: r.count()?,
+                misses: r.count()?,
             }
         }
         4 => BehaviorSnapshot::Opaque,
@@ -1062,41 +1253,90 @@ fn r_behavior(r: &mut Reader) -> Result<BehaviorSnapshot, SimError> {
     })
 }
 
-fn w_machine(w: &mut Writer, m: &MachineSnap) {
+fn w_memory(w: &mut Writer, m: &Memory) {
+    w.string(&m.kind);
+    w.usize(m.capacity_elems);
+    w.u32(m.data_bits);
+    w.u32(m.banks);
+    w.usize(m.used_elems);
+    w_behavior(w, &m.behavior.snapshot_behavior());
+    w.seq_len(m.ports.len());
+    for &p in &m.ports {
+        w.u64(p);
+    }
+    w.u64(m.counters.bytes_read);
+    w.u64(m.counters.bytes_written);
+    w.u64(m.counters.reads);
+    w.u64(m.counters.writes);
+    w.f64(m.energy_per_access_pj);
+}
+
+fn r_memory(r: &mut Reader, lib: &SimLibrary) -> Result<Memory, SimError> {
+    let kind = r.string()?;
+    let capacity_elems = r.usize()?;
+    let data_bits = r.u32()?;
+    let banks = r.u32()?;
+    let used_elems = r.usize()?;
+    let behavior = match r_behavior(r)?.rebuild() {
+        Some(b) => b,
+        // Opaque custom model: re-create it from the library factory
+        // (exact only for stateless models — see
+        // `MemoryBehavior::snapshot_behavior`).
+        None => lib.make_memory(&MemSpec {
+            kind: kind.clone(),
+            capacity_elems,
+            data_bits,
+            banks,
+            attrs: Default::default(),
+        }),
+    };
+    let n = r.seq_len(8)?;
+    if n == 0 {
+        return Err(err("memory with no access ports"));
+    }
+    let mut ports = Vec::with_capacity(n);
+    for _ in 0..n {
+        ports.push(r.count()?);
+    }
+    Ok(Memory {
+        kind,
+        capacity_elems,
+        data_bits,
+        banks,
+        used_elems,
+        behavior,
+        ports,
+        counters: MemCounters {
+            bytes_read: r.count()?,
+            bytes_written: r.count()?,
+            reads: r.count()?,
+            writes: r.count()?,
+        },
+        energy_per_access_pj: r.f64()?,
+    })
+}
+
+fn w_machine(w: &mut Writer, m: &Machine) {
     w.seq_len(m.components.len());
     for c in &m.components {
         w.string(&c.name);
         match &c.kind {
-            CompKindSnap::Processor { kind, profile } => {
+            ComponentKind::Processor(p) => {
                 w.u8(0);
-                w.string(kind);
-                w_profile(w, profile);
+                w.string(&p.kind);
+                w_profile(w, &p.profile);
             }
-            CompKindSnap::Memory(mem) => {
+            ComponentKind::Memory(mem) => {
                 w.u8(1);
-                w.string(&mem.kind);
-                w.u64(mem.capacity_elems);
-                w.u32(mem.data_bits);
-                w.u32(mem.banks);
-                w.u64(mem.used_elems);
-                w_behavior(w, &mem.behavior);
-                w.seq_len(mem.ports.len());
-                for &p in &mem.ports {
-                    w.u64(p);
-                }
-                w.u64(mem.counters.bytes_read);
-                w.u64(mem.counters.bytes_written);
-                w.u64(mem.counters.reads);
-                w.u64(mem.counters.writes);
-                w.f64(mem.energy_per_access_pj);
+                w_memory(w, mem);
             }
-            CompKindSnap::Dma => w.u8(2),
-            CompKindSnap::Composite(children) => {
+            ComponentKind::Dma => w.u8(2),
+            ComponentKind::Composite(comp) => {
                 w.u8(3);
-                w.seq_len(children.len());
-                for (name, id) in children {
+                w.seq_len(comp.children.len());
+                for (name, id) in &comp.children {
                     w.string(name);
-                    w.u32(*id);
+                    w.u32(id.0);
                 }
             }
         }
@@ -1121,8 +1361,9 @@ fn w_machine(w: &mut Writer, m: &MachineSnap) {
             ConnKind::Window => 1,
         });
         w.u64(c.bytes_per_cycle);
-        w.u64(c.read_free);
-        w.u64(c.write_free);
+        let (read_free, write_free) = c.channel_state();
+        w.u64(read_free);
+        w.u64(write_free);
         w.seq_len(c.transfers.len());
         for t in &c.transfers {
             w.u64(t.start);
@@ -1136,226 +1377,39 @@ fn w_machine(w: &mut Writer, m: &MachineSnap) {
     }
 }
 
-fn r_machine(r: &mut Reader) -> Result<MachineSnap, SimError> {
-    let n = r.seq_len(1)?;
-    let mut components = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = r.string()?;
-        let kind = match r.u8()? {
-            0 => CompKindSnap::Processor {
-                kind: r.string()?,
-                profile: r_profile(r)?,
-            },
-            1 => {
-                let kind = r.string()?;
-                let capacity_elems = r.u64()?;
-                let data_bits = r.u32()?;
-                let banks = r.u32()?;
-                let used_elems = r.u64()?;
-                let behavior = r_behavior(r)?;
-                let m = r.seq_len(8)?;
-                let mut ports = Vec::with_capacity(m);
-                for _ in 0..m {
-                    ports.push(r.u64()?);
-                }
-                let counters = MemCounters {
-                    bytes_read: r.u64()?,
-                    bytes_written: r.u64()?,
-                    reads: r.u64()?,
-                    writes: r.u64()?,
-                };
-                CompKindSnap::Memory(MemSnap {
-                    kind,
-                    capacity_elems,
-                    data_bits,
-                    banks,
-                    used_elems,
-                    behavior,
-                    ports,
-                    counters,
-                    energy_per_access_pj: r.f64()?,
-                })
-            }
-            2 => CompKindSnap::Dma,
-            3 => {
-                let m = r.seq_len(1)?;
-                let mut children = Vec::with_capacity(m);
-                for _ in 0..m {
-                    children.push((r.string()?, r.u32()?));
-                }
-                CompKindSnap::Composite(children)
-            }
-            t => return Err(err(&format!("unknown component tag {t}"))),
-        };
-        components.push(CompSnap { name, kind });
-    }
-    let n = r.seq_len(1)?;
-    let mut buffers = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mem = CompId(r.u32()?);
-        let rank = r.seq_len(8)?;
-        let mut shape = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            shape.push(r.usize()?);
-        }
-        let elem_bytes = r.usize()?;
-        let base_addr = r.usize()?;
-        let live = r.boolean()?;
-        let data = r_tensor(r)?;
-        buffers.push(Buffer {
-            mem,
-            shape,
-            elem_bytes,
-            base_addr,
-            live,
-            data,
-        });
-    }
-    let n = r.seq_len(1)?;
-    let mut connections = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = r.string()?;
-        let kind = match r.u8()? {
-            0 => ConnKind::Streaming,
-            1 => ConnKind::Window,
-            t => return Err(err(&format!("unknown connection tag {t}"))),
-        };
-        let bytes_per_cycle = r.u64()?;
-        let read_free = r.u64()?;
-        let write_free = r.u64()?;
-        let m = r.seq_len(8 + 8 + 8 + 1)?;
-        let mut transfers = Vec::with_capacity(m);
-        for _ in 0..m {
-            transfers.push(Transfer {
-                start: r.u64()?,
-                end: r.u64()?,
-                bytes: r.u64()?,
-                kind: match r.u8()? {
-                    0 => AccessKind::Read,
-                    1 => AccessKind::Write,
-                    t => return Err(err(&format!("unknown access tag {t}"))),
-                },
-            });
-        }
-        connections.push(ConnSnap {
-            name,
-            kind,
-            bytes_per_cycle,
-            read_free,
-            write_free,
-            transfers,
-        });
-    }
-    Ok(MachineSnap {
-        components,
-        buffers,
-        connections,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CompiledModule;
+    use equeue_dialect::{kinds, EqueueBuilder};
+    use equeue_ir::{OpBuilder, Type};
 
+    /// A snapshot captured mid-run from a small real program: a MAC unit
+    /// stepping through `mac` ext-ops next to an SRAM buffer.
     fn tiny() -> Snapshot {
-        Snapshot {
-            requested_cut: 10,
-            actual_cut: 12,
-            completed: false,
-            capture_backend: Backend::Fused,
-            fingerprint: ModuleFingerprint {
-                num_ops: 3,
-                num_blocks: 2,
-                num_values: 5,
-            },
-            now: 9,
-            horizon: 12,
-            wakes: 4,
-            ops_interpreted: 7,
-            events_spawned: 2,
-            live_tensor_bytes: 64,
-            peak_live_tensor_bytes: 128,
-            fused_trace_entries: 1,
-            idle_steps: 0,
-            seq: 6,
-            host_mem: Some(1),
-            heap: vec![(12, 5, 0)],
-            signals: vec![
-                SignalState::Resolved {
-                    time: 3,
-                    payload: vec![SimValue::Int(-4), SimValue::Float(1.5)],
-                },
-                SignalState::Pending {
-                    remaining: 2,
-                    time_acc: 7,
-                    any_mode: false,
-                    dependents: vec![SignalId(0)],
-                },
-            ],
-            procs: vec![ProcSnap {
-                comp: 0,
-                clock: 9,
-                profile: ProfileSnap {
-                    default_cycles: 1,
-                    per_op: vec![("mac".into(), 2)],
-                },
-                queue: vec![PendingEvent {
-                    kind: EventKind::Memcpy {
-                        src: BufId(0),
-                        dst: BufId(0),
-                        conn: None,
-                    },
-                    dep: SignalId(0),
-                    done: SignalId(1),
-                }],
-                frame: None,
-            }],
-            machine: MachineSnap {
-                components: vec![CompSnap {
-                    name: "HostMem".into(),
-                    kind: CompKindSnap::Memory(MemSnap {
-                        kind: "Register".into(),
-                        capacity_elems: 1024,
-                        data_bits: 32,
-                        banks: 1,
-                        used_elems: 4,
-                        behavior: BehaviorSnapshot::Register,
-                        ports: vec![0],
-                        counters: MemCounters {
-                            bytes_read: 16,
-                            bytes_written: 16,
-                            reads: 1,
-                            writes: 1,
-                        },
-                        energy_per_access_pj: 0.5,
-                    }),
-                }],
-                buffers: vec![Buffer {
-                    mem: CompId(0),
-                    shape: vec![2, 2],
-                    elem_bytes: 4,
-                    base_addr: 0,
-                    live: true,
-                    data: Tensor {
-                        shape: vec![2, 2],
-                        data: TensorData::from_ints(vec![1, 2, 3, 4]),
-                    },
-                }],
-                connections: vec![ConnSnap {
-                    name: "c0".into(),
-                    kind: ConnKind::Streaming,
-                    bytes_per_cycle: 4,
-                    read_free: 8,
-                    write_free: 9,
-                    transfers: vec![Transfer {
-                        start: 2,
-                        end: 6,
-                        bytes: 16,
-                        kind: AccessKind::Write,
-                    }],
-                }],
-            },
+        let mut m = Module::new();
+        let blk = m.top_block();
+        let mut b = OpBuilder::at_end(&mut m, blk);
+        let pe = b.create_proc(kinds::MAC);
+        let mem = b.create_mem(kinds::SRAM, &[4], 32, 1);
+        b.alloc(mem, &[4], Type::I32);
+        let start = b.control_start();
+        let launch = b.launch(start, pe, &[], vec![]);
+        let mut body = OpBuilder::at_end(b.module_mut(), launch.body);
+        for _ in 0..4 {
+            body.ext_op("mac", vec![], vec![]);
         }
+        body.ret(vec![]);
+        let done = launch.done;
+        OpBuilder::at_end(&mut m, blk).await_all(vec![done]);
+        let compiled = CompiledModule::compile_standard(m).expect("compiles");
+        compiled
+            .snapshot(&SimOptions {
+                trace: false,
+                snapshot_at: Some(2),
+                ..SimOptions::default()
+            })
+            .expect("captures")
     }
 
     #[test]
@@ -1364,10 +1418,12 @@ mod tests {
         let bytes = snap.encode();
         let decoded = Snapshot::decode(&bytes).expect("decode");
         assert_eq!(decoded.encode(), bytes);
-        assert_eq!(decoded.requested_cut(), 10);
-        assert_eq!(decoded.actual_cut(), 12);
+        assert_eq!(decoded.requested_cut(), 2);
+        assert_eq!(decoded.actual_cut(), snap.actual_cut());
+        assert!(decoded.actual_cut() >= 2);
         assert!(!decoded.completed());
         assert_eq!(decoded.capture_backend(), Backend::Fused);
+        assert_eq!(decoded.fingerprint, snap.fingerprint);
     }
 
     #[test]
@@ -1396,17 +1452,20 @@ mod tests {
 
     #[test]
     fn bad_magic_and_version_are_rejected() {
-        let mut bytes = tiny().encode();
+        let bytes = tiny().encode();
         assert!(matches!(Snapshot::decode(&[]), Err(SimError::Snapshot(_))));
-        // Corrupt the version but re-stamp the checksum: the version check
-        // itself must fire.
-        bytes[4] = 0xEE;
-        let body_len = bytes.len() - 8;
-        let sum = fnv1a(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
-        match Snapshot::decode(&bytes) {
-            Err(SimError::Snapshot(msg)) => assert!(msg.contains("version"), "{msg}"),
-            other => panic!("{other:?}"),
+        // Corrupt the magic or the version but re-stamp the checksum: the
+        // header check itself must fire.
+        for (at, what) in [(0, "magic"), (4, "version")] {
+            let mut bad = bytes.clone();
+            bad[at] = 0xEE;
+            let body_len = bad.len() - CHECKSUM_LEN;
+            let sum = fnv1a(&bad[..body_len]);
+            bad[body_len..].copy_from_slice(&sum.to_le_bytes());
+            match Snapshot::decode(&bad) {
+                Err(SimError::Snapshot(msg)) => assert!(msg.contains(what), "{msg}"),
+                other => panic!("{other:?}"),
+            }
         }
     }
 }

@@ -6,7 +6,8 @@
 //! mutations of real encoded snapshots captured from small programs. The
 //! wire format carries a trailing checksum, so almost every mutation must
 //! be rejected at decode; the rare survivor (a no-op mutation) must still
-//! resume cleanly.
+//! resume cleanly. The re-signed arm rewrites the checksum after mutating,
+//! so the structural checks in `resume` see the hostile bytes too.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -214,6 +215,59 @@ fn mutated_snapshots_never_panic() {
     assert!(rejected > 1000, "only {rejected} cases rejected");
     // `truncate(len)` and re-zeroing zero bytes leave the stream intact.
     assert!(resumed > 0, "no mutated stream survived to resume");
+}
+
+/// FNV-1a 64, the wire format's trailing checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Re-signed mutations: each case mutates a corpus stream (1–3 stacked
+/// mutations, as in `mutated_snapshots_never_panic`), then rewrites
+/// its trailing checksum so the stream passes `decode`'s integrity check
+/// and the hostile bytes reach the structural checks behind it. Pass means
+/// no panic. Any typed [`SimError`] is accepted: a consistent but corrupted
+/// state may legitimately deadlock or fail a type check while running.
+#[test]
+fn resigned_mutations_never_panic() {
+    let corpus = [seed(mac_chain(16), 5), seed(affine_double(8), 7)];
+    let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+    let opts = SimOptions {
+        trace: false,
+        ..Default::default()
+    };
+    let mut rejected = 0usize;
+    for case in 0..20_000 {
+        let (compiled, base) = &corpus[rng.below(corpus.len())];
+        let mut bytes = mutate(&mut rng, base);
+        for _ in 0..rng.below(3) {
+            bytes = mutate(&mut rng, &bytes);
+        }
+        if bytes.len() >= 8 {
+            let body = bytes.len() - 8;
+            let sum = fnv1a(&bytes[..body]);
+            bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        }
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            Snapshot::decode(&bytes).and_then(|snap| compiled.resume(&snap, &opts))
+        }));
+        match outcome {
+            Ok(Ok(_)) => {}
+            Ok(Err(_)) => rejected += 1,
+            Err(_) => panic!(
+                "re-signed fuzz case {case} panicked ({} bytes)",
+                bytes.len()
+            ),
+        }
+    }
+    // Most re-signed mutations still break the structure; if none did,
+    // the arm would not be reaching the structural checks.
+    assert!(rejected > 10_000, "only {rejected} cases rejected");
 }
 
 /// Pure truncation sweep: every prefix of a real snapshot must decode or
