@@ -81,8 +81,8 @@ fn static_preflight(ctx: &AnalysisCtx<'_>, body: equeue_ir::BlockId) -> Option<S
             continue;
         };
         let buf = match data.name.as_str() {
-            "affine.load" => data.operands.first().copied(),
-            "affine.store" => data.operands.get(1).copied(),
+            "affine.load" | "equeue.read" => data.operands.first().copied(),
+            "affine.store" | "equeue.write" => data.operands.get(1).copied(),
             _ => None,
         };
         let Some(buf) = buf else { continue };

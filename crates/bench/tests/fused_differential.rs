@@ -82,19 +82,38 @@ fn assert_reports_identical(name: &str, fused: &SimReport, interp: &SimReport) {
     );
 }
 
-fn differential(name: &str, module: &Module) {
+/// Runs `module` under both backends, asserts identical reports, and
+/// returns the fused report.
+fn differential(name: &str, module: &Module) -> SimReport {
     let lib = SimLibrary::standard();
     let fused = simulate_with(module, &lib, &options(Backend::Fused))
         .unwrap_or_else(|e| panic!("{name} (fused): {e}"));
     let interp = simulate_with(module, &lib, &options(Backend::Interp))
         .unwrap_or_else(|e| panic!("{name} (interp): {e}"));
     assert_reports_identical(name, &fused, &interp);
+    fused
 }
+
+/// The loop-heavy Fig. 11 stages, whose innermost bodies are
+/// connection-less `equeue.read`/`equeue.write` loops: each must run
+/// through fused traces, not only match the interpreter.
+const FIG11_LOOP_STAGES: [(&str, Stage, Dataflow); 6] = [
+    ("fig11_affine_ws", Stage::Affine, Dataflow::Ws),
+    ("fig11_affine_is", Stage::Affine, Dataflow::Is),
+    ("fig11_affine_os", Stage::Affine, Dataflow::Os),
+    ("fig11_reassign_ws", Stage::Reassign, Dataflow::Ws),
+    ("fig11_reassign_is", Stage::Reassign, Dataflow::Is),
+    ("fig11_reassign_os", Stage::Reassign, Dataflow::Os),
+];
 
 /// Debug-sized variants of the counter-pinned workloads in
 /// `tests/golden_cycles.rs`, complementing the shared golden set.
 fn small_scenarios() -> Vec<(&'static str, Module)> {
-    vec![
+    let fig11_loops = FIG11_LOOP_STAGES.iter().map(|&(name, stage, df)| {
+        let dims = ConvDims::square(6, 3, 3, 2);
+        (name, build_stage_program(stage, dims, (4, 4), df).module)
+    });
+    let mut all = vec![
         ("matmul8_linalg", scenarios::matmul_linalg(8)),
         ("matmul4_affine", scenarios::matmul_affine(4)),
         ("matmul16_affine", scenarios::matmul_affine(16)),
@@ -141,13 +160,18 @@ fn small_scenarios() -> Vec<(&'static str, Module)> {
             )
             .module,
         ),
-    ]
+    ];
+    all.extend(fig11_loops);
+    all
 }
 
 #[test]
 fn golden_scenarios_are_bit_identical_across_backends() {
     for (name, module) in small_scenarios() {
-        differential(name, &module);
+        let fused = differential(name, &module);
+        if FIG11_LOOP_STAGES.iter().any(|&(n, ..)| n == name) {
+            assert!(fused.fused_trace_entries > 0, "{name}: no fused trace ran");
+        }
     }
     for s in scenarios::golden_scenarios() {
         differential(s.name, &s.module);
@@ -437,4 +461,174 @@ fn fuzzer_corpus_outcomes_agree_across_backends() {
     // The corpus must actually exercise the execution differential, not
     // just the parser.
     assert!(executed >= 20, "only {executed} mutants reached execution");
+}
+
+// ---------------------------------------------------------------------------
+// Connection-less `equeue.read`/`equeue.write` traces
+// ---------------------------------------------------------------------------
+
+/// Shape of a [`read_write_loops`] program.
+#[derive(Clone, Copy)]
+struct RwLoops {
+    /// Memory kind holding every buffer.
+    kind: &'static str,
+    /// Concurrent access ports of that memory.
+    ports: i64,
+    /// Processors, each running its own loop on its own buffer.
+    procs: usize,
+    /// Divisor of the loop body's `arith.divi`.
+    divisor: i64,
+    /// Added to the write subscript (`1` runs the last write out of range).
+    write_offset: i64,
+    /// Route the read through a connection.
+    conn: bool,
+}
+
+impl Default for RwLoops {
+    fn default() -> Self {
+        RwLoops {
+            kind: equeue_dialect::kinds::SRAM,
+            ports: 1,
+            procs: 1,
+            divisor: 1,
+            write_offset: 0,
+            conn: false,
+        }
+    }
+}
+
+const RW_TRIP: usize = 64;
+
+/// `procs` processors, each running
+/// `for i in 0..64 { buf[i + off] = (read(buf[i]) + 7) / divisor }`
+/// with connection-less `equeue.read`/`equeue.write` on one shared memory.
+fn read_write_loops(spec: RwLoops) -> Module {
+    use equeue_dialect::{kinds, AffineBuilder, ArithBuilder, ConnKind, EqueueBuilder};
+    use equeue_ir::{OpBuilder, Type};
+    let mut m = Module::new();
+    let blk = m.top_block();
+    let mut b = OpBuilder::at_end(&mut m, blk);
+    let mem = b.create_mem(spec.kind, &[spec.procs * RW_TRIP], 32, 1);
+    let conn = spec
+        .conn
+        .then(|| b.create_connection(ConnKind::Streaming, 8));
+    let start = b.control_start();
+    let mut dones = Vec::new();
+    for _ in 0..spec.procs {
+        let pe = b.create_proc(kinds::ARM_R5);
+        let buf = b.alloc(mem, &[RW_TRIP], Type::I32);
+        let l = b.launch(start, pe, &[buf], vec![]);
+        let mut ib = OpBuilder::at_end(b.module_mut(), l.body);
+        let seven = ib.const_int(7, Type::I32);
+        let divisor = ib.const_int(spec.divisor, Type::I32);
+        let off = ib.const_index(spec.write_offset);
+        let (_, body, iv) = ib.affine_for(0, RW_TRIP as i64, 1);
+        {
+            let mut lb = OpBuilder::at_end(ib.module_mut(), body);
+            let buf = l.body_args[0];
+            let x = lb.read_indexed(buf, vec![iv], conn);
+            let y = lb.addi(x, seven);
+            let y = lb.divi(y, divisor);
+            let at = lb.addi(iv, off);
+            lb.write_indexed(y, buf, vec![at], None);
+            lb.affine_yield();
+        }
+        ib.ret(vec![]);
+        dones.push(l.done);
+    }
+    b.await_all(dones);
+    let create_mem = m.find_first("equeue.create_mem").expect("memory op");
+    m.op_mut(create_mem).attrs.set("ports", spec.ports);
+    m
+}
+
+/// Both backends fail with *equal* errors on `module`.
+fn assert_same_error(name: &str, module: &Module) -> SimError {
+    let lib = SimLibrary::standard();
+    let fused = simulate_with(module, &lib, &options(Backend::Fused)).unwrap_err();
+    let interp = simulate_with(module, &lib, &options(Backend::Interp)).unwrap_err();
+    assert_eq!(fused, interp, "{name}: errors diverge");
+    fused
+}
+
+#[test]
+fn port_contended_read_write_traces_match_interp() {
+    // Two processors share one single-port SRAM, so an access inside a
+    // trace can find the port held by the other processor and finish
+    // later than `clock + cost`: the trace must time it by the port.
+    let one_port = RwLoops {
+        procs: 2,
+        ..RwLoops::default()
+    };
+    let fused = differential("two procs, one port", &read_write_loops(one_port));
+    assert!(fused.fused_trace_entries > 0, "no fused trace ran");
+    let two_ports = differential(
+        "two procs, two ports",
+        &read_write_loops(RwLoops {
+            ports: 2,
+            ..one_port
+        }),
+    );
+    assert!(two_ports.fused_trace_entries > 0, "no fused trace ran");
+    assert!(
+        fused.cycles > two_ports.cycles,
+        "one port must make accesses wait ({} vs {} cycles)",
+        fused.cycles,
+        two_ports.cycles
+    );
+}
+
+#[test]
+fn register_read_write_trace_batches_counters() {
+    // Zero-latency accesses take no time and wake nothing; their traffic is
+    // batched in the trace and flushed at the exit.
+    let module = read_write_loops(RwLoops {
+        kind: equeue_dialect::kinds::REGISTER,
+        ..RwLoops::default()
+    });
+    let fused = differential("register loop", &module);
+    assert_eq!(fused.fused_trace_entries, 1);
+    let reg = &fused.memories[0];
+    assert_eq!((reg.reads, reg.writes), (RW_TRIP as u64, RW_TRIP as u64));
+}
+
+#[test]
+fn read_write_trace_errors_match_interp() {
+    let oob = assert_same_error(
+        "write out of range",
+        &read_write_loops(RwLoops {
+            write_offset: 1,
+            ..RwLoops::default()
+        }),
+    );
+    assert!(matches!(oob, SimError::Runtime(_)), "{oob}");
+    let div = assert_same_error(
+        "divide by zero",
+        &read_write_loops(RwLoops {
+            divisor: 0,
+            ..RwLoops::default()
+        }),
+    );
+    assert!(matches!(div, SimError::Runtime(_)), "{div}");
+}
+
+#[test]
+fn read_through_a_connection_declines() {
+    use equeue_core::{analyze_facts, FuseDecline, FuseVerdict};
+    let module = read_write_loops(RwLoops {
+        conn: true,
+        ..RwLoops::default()
+    });
+    let facts = analyze_facts(&module, &SimLibrary::standard());
+    let verdicts: Vec<_> = facts.loops.iter().map(|l| &l.verdict).collect();
+    assert_eq!(
+        verdicts,
+        [&FuseVerdict::Declined(FuseDecline::UnsupportedOp(
+            "equeue.read".into()
+        ))]
+    );
+    assert_eq!(
+        differential("read via connection", &module).fused_trace_entries,
+        0
+    );
 }

@@ -18,7 +18,11 @@
 //!    is pinned by length and hash on one scenario.
 
 use equeue_core::{Backend, CompiledModule, SimLibrary, SimOptions, SimReport, Snapshot};
+use equeue_dialect::ConvDims;
 use equeue_gen::scenarios::golden_scenarios;
+use equeue_gen::{build_stage_program, Stage};
+use equeue_ir::Module;
+use equeue_passes::Dataflow;
 
 fn options(backend: Backend) -> SimOptions {
     SimOptions {
@@ -54,11 +58,27 @@ fn cut_points(cycles: u64) -> Vec<u64> {
     cuts
 }
 
+/// The cut grid: every golden scenario, plus a Fig. 11 Affine-stage
+/// program whose run is almost all fused `equeue.read`/`equeue.write`
+/// traces, so its cuts land inside them. Kept out of the shared golden set,
+/// which also fixes the analysis golden files.
+fn cut_grid() -> Vec<(&'static str, Module)> {
+    let mut grid: Vec<_> = golden_scenarios()
+        .into_iter()
+        .map(|s| (s.name, s.module))
+        .collect();
+    let dims = ConvDims::square(6, 3, 3, 4);
+    grid.push((
+        "fig11_affine_ws_6",
+        build_stage_program(Stage::Affine, dims, (4, 4), Dataflow::Ws).module,
+    ));
+    grid
+}
+
 #[test]
 fn replay_is_bit_identical_across_cuts_and_backends() {
-    for scenario in golden_scenarios() {
-        let name = scenario.name;
-        let compiled = CompiledModule::compile(scenario.module, SimLibrary::standard())
+    for (name, module) in cut_grid() {
+        let compiled = CompiledModule::compile(module, SimLibrary::standard())
             .unwrap_or_else(|e| panic!("{name}: compile: {e}"));
         let full = compiled
             .simulate(&options(Backend::Fused))

@@ -27,11 +27,19 @@
 //!
 //! **Trace formation** (`build_fused`) is conservative: a loop body fuses
 //! only if every op is scalar-integer straight-line work (`affine.load` /
-//! `affine.store` / pre-decoded binary arith / `arith.cmpi` / `arith.select`
-//! / integer `arith.constant` / `affine.yield`) with no cross-iteration
-//! value flow. Anything else — nested loops, launches, tensor ops, unknown
+//! `affine.store` / connection-less single-element `equeue.read` /
+//! `equeue.write` / pre-decoded binary arith / `arith.cmpi` /
+//! `arith.select` / integer `arith.constant` / `affine.yield`) with no
+//! cross-iteration value flow. Anything else — nested loops, launches,
+//! tensor ops, whole-tensor or connection-routed reads and writes, unknown
 //! predicates, use-before-def — leaves the body to the interpreter, which
 //! is always correct.
+//!
+//! The two access families differ only in timing, as in the interpreter:
+//! `affine.load`/`affine.store` cost the processor profile's `load`/`store`
+//! cycles, while `equeue.read`/`equeue.write` last until the memory access
+//! finishes — the finish time [`Memory::access`](crate::Memory::access)
+//! returns, which includes any wait for a port another processor holds.
 //!
 //! **Runtime preflight** (`run_fused`) re-validates the parts only the
 //! running machine knows: the buffers must be live integer tensors of the
@@ -77,7 +85,9 @@ pub enum FuseDecline {
     /// value flow the straight-line trace cannot model.
     CrossIterationFlow,
     /// The body contains an op the trace compiler does not model
-    /// (launches, tensor ops, float constants, unknown predicates, …).
+    /// (launches, tensor ops, float constants, unknown predicates,
+    /// `equeue.read`/`equeue.write` through a connection or of a whole
+    /// tensor, …).
     UnsupportedOp(String),
     /// The body has no instructions; the interpreter's idle-step
     /// accounting is the reference semantics for degenerate loops.
@@ -113,18 +123,25 @@ impl std::fmt::Display for FuseDecline {
 /// boundary (`scope.idx = op_pos + 1`).
 #[derive(Debug)]
 pub(crate) enum FusedInst {
-    /// `affine.load` from buffer table entry `buf` at `indices`.
+    /// `affine.load` or connection-less `equeue.read` from buffer table
+    /// entry `buf` at `indices`.
     Load {
         buf: u32,
         indices: Box<[u32]>,
         dst: u32,
+        /// The timing source: `false` for `affine.load`, which costs the
+        /// profile's `load` cycles; `true` for `equeue.read`, which lasts
+        /// until the memory access finishes (port wait included).
+        mem_timed: bool,
         op_pos: u32,
     },
-    /// `affine.store` of register `src` into buffer table entry `buf`.
+    /// `affine.store` or connection-less `equeue.write` of register `src`
+    /// into buffer table entry `buf`; `mem_timed` as for [`FusedInst::Load`].
     Store {
         buf: u32,
         indices: Box<[u32]>,
         src: u32,
+        mem_timed: bool,
         op_pos: u32,
     },
     /// A pre-decoded scalar binary op. `index_typed` arithmetic is address
@@ -366,11 +383,24 @@ fn try_build(
     for (pos, &op) in block.ops.iter().enumerate() {
         let info = ops.get(op.index()).ok_or_else(bad)?;
         let op_pos = pos as u32;
+        let unsupported = || FuseDecline::UnsupportedOp(module.op(op).name.to_string());
+        // `equeue.read`/`equeue.write` fuse only as connection-less
+        // single-element accesses: a whole-tensor access moves a tensor
+        // value, and a connection adds a second port schedule.
+        let mem_timed = matches!(info.code, OpCode::Read { .. } | OpCode::Write { .. });
         match &info.code {
             OpCode::Erased => continue,
-            OpCode::AffineLoad { buffer, indices } => {
+            OpCode::AffineLoad { buffer, indices }
+            | OpCode::Read {
+                buffer,
+                indices,
+                conn: None,
+            } => {
                 if info.results.len() != 1 {
                     return Err(bad());
+                }
+                if mem_timed && indices.is_empty() {
+                    return Err(unsupported());
                 }
                 let buf = buffer_index(&mut buffers, &def_slots, *buffer, indices.len() as u32)?;
                 let idx: Option<Box<[u32]>> = indices.iter().map(|&s| regs.operand(s)).collect();
@@ -379,6 +409,7 @@ fn try_build(
                     buf,
                     indices: idx.ok_or_else(flow)?,
                     dst,
+                    mem_timed,
                     op_pos,
                 });
             }
@@ -386,9 +417,18 @@ fn try_build(
                 value,
                 buffer,
                 indices,
+            }
+            | OpCode::Write {
+                value,
+                buffer,
+                indices,
+                conn: None,
             } => {
                 if !info.results.is_empty() {
                     return Err(bad());
+                }
+                if mem_timed && indices.is_empty() {
+                    return Err(unsupported());
                 }
                 let src = regs.operand(*value).ok_or_else(flow)?;
                 let buf = buffer_index(&mut buffers, &def_slots, *buffer, indices.len() as u32)?;
@@ -397,6 +437,7 @@ fn try_build(
                     buf,
                     indices: idx.ok_or_else(flow)?,
                     src,
+                    mem_timed,
                     op_pos,
                 });
             }
@@ -479,7 +520,7 @@ fn try_build(
             OpCode::For { .. } | OpCode::Parallel { .. } => {
                 return Err(FuseDecline::MultiLevelNest)
             }
-            _ => return Err(FuseDecline::UnsupportedOp(module.op(op).name.to_string())),
+            _ => return Err(unsupported()),
         }
     }
     if insts.is_empty() {
@@ -707,8 +748,12 @@ impl<'m> Engine<'m> {
             let hot = &self.procs[p].hot;
             for inst in &f.insts {
                 s.costs.push(match inst {
-                    FusedInst::Load { .. } => hot.load,
-                    FusedInst::Store { .. } => hot.store,
+                    FusedInst::Load {
+                        mem_timed: false, ..
+                    } => hot.load,
+                    FusedInst::Store {
+                        mem_timed: false, ..
+                    } => hot.store,
                     FusedInst::Bin {
                         op, index_typed, ..
                     } => {
@@ -720,7 +765,12 @@ impl<'m> Engine<'m> {
                     }
                     FusedInst::Cmp { .. } => hot.cmpi,
                     FusedInst::Sel { .. } => hot.select,
-                    FusedInst::Const { .. } | FusedInst::Nop { .. } => 0,
+                    // Memory-timed accesses take their cost from the
+                    // access itself.
+                    FusedInst::Load { .. }
+                    | FusedInst::Store { .. }
+                    | FusedInst::Const { .. }
+                    | FusedInst::Nop { .. } => 0,
                 });
             }
         }
@@ -750,40 +800,27 @@ impl<'m> Engine<'m> {
         let exit = 'run: loop {
             while pos < f.insts.len() {
                 let inst = &f.insts[pos];
-                let cost = s.costs[pos];
+                let mut cost = s.costs[pos];
                 ops += 1;
                 match inst {
                     FusedInst::Load {
-                        buf, indices, dst, ..
+                        buf,
+                        indices,
+                        dst,
+                        mem_timed,
+                        ..
                     } => {
-                        let b = s.bufs[*buf as usize];
+                        let b = &mut s.bufs[*buf as usize];
                         let dims =
                             &s.dims[b.dims_start as usize..(b.dims_start + b.dims_len) as usize];
                         let flat = match flatten(&s.regs, dims, indices) {
                             Ok(flat) => flat,
                             Err(msg) => break 'run Exit::Fail(SimError::Runtime(msg)),
                         };
-                        if b.cost > 0 {
-                            // Timed memory: exact per-access port
-                            // reservation and traffic accounting.
-                            match self.machine.memory_mut(b.mem) {
-                                Some(m) => {
-                                    let _ = m.access(
-                                        AccessKind::Read,
-                                        b.base_addr + flat,
-                                        1,
-                                        b.elem_bytes,
-                                        clock,
-                                    );
-                                }
-                                None => {
-                                    break 'run Exit::Fail(SimError::Runtime(
-                                        "internal: buffer not backed by a memory".into(),
-                                    ))
-                                }
-                            }
-                        } else {
-                            s.bufs[*buf as usize].reads += 1;
+                        match self.fused_access(b, AccessKind::Read, flat, clock) {
+                            Ok(finish) if *mem_timed => cost = finish - clock,
+                            Ok(_) => {}
+                            Err(e) => break 'run Exit::Fail(e),
                         }
                         match self.machine.buffer(b.buf).data.data.int_at(flat) {
                             Some(v) => s.regs[*dst as usize] = v,
@@ -795,34 +832,23 @@ impl<'m> Engine<'m> {
                         }
                     }
                     FusedInst::Store {
-                        buf, indices, src, ..
+                        buf,
+                        indices,
+                        src,
+                        mem_timed,
+                        ..
                     } => {
-                        let b = s.bufs[*buf as usize];
+                        let b = &mut s.bufs[*buf as usize];
                         let dims =
                             &s.dims[b.dims_start as usize..(b.dims_start + b.dims_len) as usize];
                         let flat = match flatten(&s.regs, dims, indices) {
                             Ok(flat) => flat,
                             Err(msg) => break 'run Exit::Fail(SimError::Runtime(msg)),
                         };
-                        if b.cost > 0 {
-                            match self.machine.memory_mut(b.mem) {
-                                Some(m) => {
-                                    let _ = m.access(
-                                        AccessKind::Write,
-                                        b.base_addr + flat,
-                                        1,
-                                        b.elem_bytes,
-                                        clock,
-                                    );
-                                }
-                                None => {
-                                    break 'run Exit::Fail(SimError::Runtime(
-                                        "internal: buffer not backed by a memory".into(),
-                                    ))
-                                }
-                            }
-                        } else {
-                            s.bufs[*buf as usize].writes += 1;
+                        match self.fused_access(b, AccessKind::Write, flat, clock) {
+                            Ok(finish) if *mem_timed => cost = finish - clock,
+                            Ok(_) => {}
+                            Err(e) => break 'run Exit::Fail(e),
                         }
                         let v = s.regs[*src as usize];
                         if !self.machine.buffer_mut(b.buf).data.data.set_int_at(flat, v) {
@@ -983,6 +1009,35 @@ impl<'m> Engine<'m> {
                 Ok(Some(Step::Yield))
             }
         }
+    }
+
+    /// Accounts one element access of `b` at `clock` and returns when it
+    /// finishes. Timed memories take the exact per-access port reservation
+    /// and traffic accounting of [`Memory::access`](crate::Memory::access),
+    /// so the finish includes any wait for a port another processor holds;
+    /// zero-latency memories only bump the batched counters and finish at
+    /// `clock`.
+    #[inline]
+    fn fused_access(
+        &mut self,
+        b: &mut BufRt,
+        kind: AccessKind,
+        flat: usize,
+        clock: u64,
+    ) -> Result<u64, SimError> {
+        if b.cost == 0 {
+            match kind {
+                AccessKind::Read => b.reads += 1,
+                AccessKind::Write => b.writes += 1,
+            }
+            return Ok(clock);
+        }
+        let m = self
+            .machine
+            .memory_mut(b.mem)
+            .ok_or_else(|| SimError::Runtime("internal: buffer not backed by a memory".into()))?;
+        let (_, finish, _) = m.access(kind, b.base_addr + flat, 1, b.elem_bytes, clock);
+        Ok(finish)
     }
 
     /// `Progress` from trace-local counters (the engine's own counters are

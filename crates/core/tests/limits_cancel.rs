@@ -5,7 +5,8 @@
 use std::time::Duration;
 
 use equeue_core::{
-    simulate_with, Backend, CancelToken, LimitKind, RunLimits, SimError, SimLibrary, SimOptions,
+    analyze_facts, simulate_with, Backend, CancelToken, FuseVerdict, LimitKind, RunLimits,
+    SimError, SimLibrary, SimOptions,
 };
 use equeue_dialect::{kinds, AffineBuilder, ArithBuilder, EqueueBuilder};
 use equeue_ir::{Attr, Module, OpBuilder, Type};
@@ -176,6 +177,13 @@ fn concurrent_cancel_stops_busy_loop() {
 /// loop runs inside one trace (no contention: single processor, nothing else
 /// scheduled), so limits and cancellation must fire from *inside* the trace.
 fn fused_loop(iters: i64) -> Module {
+    access_loop(iters, false)
+}
+
+/// [`fused_loop`], or with `read_write` the same loop over connection-less
+/// `equeue.read`/`equeue.write`: each access then lasts until the SRAM
+/// access finishes rather than the profile's load/store cost.
+fn access_loop(iters: i64, read_write: bool) -> Module {
     let mut m = Module::new();
     let blk = m.top_block();
     let mut b = OpBuilder::at_end(&mut m, blk);
@@ -191,9 +199,17 @@ fn fused_loop(iters: i64) -> Module {
         let (_, body, iv) = ib.affine_for(0, iters, 1);
         {
             let mut lb = OpBuilder::at_end(ib.module_mut(), body);
-            let x = lb.affine_load(v, vec![iv]);
+            let x = if read_write {
+                lb.read_indexed(v, vec![iv], None)
+            } else {
+                lb.affine_load(v, vec![iv])
+            };
             let y = lb.addi(x, one);
-            lb.affine_store(y, v, vec![iv]);
+            if read_write {
+                lb.write_indexed(y, v, vec![iv], None);
+            } else {
+                lb.affine_store(y, v, vec![iv]);
+            }
             lb.affine_yield();
         }
         ib.ret(vec![]);
@@ -214,24 +230,31 @@ fn with_backend(limits: RunLimits, cancel: Option<CancelToken>, backend: Backend
 #[test]
 fn event_limit_fires_inside_fused_trace_with_progress() {
     // 4096 iterations × 2 timed accesses ≫ the 64-event budget: the limit
-    // trips mid-trace. Bit identity extends to the error payload, so the
+    // trips mid-trace, for profile-timed loads/stores and for memory-timed
+    // reads/writes alike. Bit identity extends to the error payload, so the
     // two backends must return *equal* errors, not merely the same kind.
-    let m = fused_loop(4096);
     let lib = SimLibrary::standard();
     let limits = RunLimits {
         max_events: 64,
         ..RunLimits::default()
     };
-    let fused = simulate_with(&m, &lib, &with_backend(limits, None, Backend::Fused)).unwrap_err();
-    let interp = simulate_with(&m, &lib, &with_backend(limits, None, Backend::Interp)).unwrap_err();
-    let SimError::Limit(l) = &fused else {
-        panic!("expected Limit, got {fused}");
-    };
-    assert_eq!(l.kind, LimitKind::Events);
-    assert!(l.progress.events > 64, "{:?}", l.progress);
-    assert!(l.progress.ops > 0, "{:?}", l.progress);
-    assert!(l.progress.cycles > 0, "{:?}", l.progress);
-    assert_eq!(fused, interp);
+    for read_write in [false, true] {
+        let m = access_loop(4096, read_write);
+        let verdict = &analyze_facts(&m, &lib).loops[0].verdict;
+        assert!(matches!(verdict, FuseVerdict::Fused { .. }), "{verdict:?}");
+        let fused =
+            simulate_with(&m, &lib, &with_backend(limits, None, Backend::Fused)).unwrap_err();
+        let interp =
+            simulate_with(&m, &lib, &with_backend(limits, None, Backend::Interp)).unwrap_err();
+        let SimError::Limit(l) = &fused else {
+            panic!("expected Limit, got {fused}");
+        };
+        assert_eq!(l.kind, LimitKind::Events);
+        assert!(l.progress.events > 64, "{:?}", l.progress);
+        assert!(l.progress.ops > 0, "{:?}", l.progress);
+        assert!(l.progress.cycles > 0, "{:?}", l.progress);
+        assert_eq!(fused, interp);
+    }
 }
 
 #[test]

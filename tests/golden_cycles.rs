@@ -99,6 +99,12 @@ fn fir_cases_golden() {
 /// `(cycles, events_processed, ops_interpreted)`.
 type CounterRow = (&'static str, fn() -> Module, (u64, u64, u64));
 
+/// A Fig. 11 stage program at H=W=8 (F=3, C=3, N=4) on a 4×4 WS array, the
+/// size the `debug_loop` benchmark pins.
+fn fig11_ws_8(stage: Stage) -> Module {
+    build_stage_program(stage, ConvDims::square(8, 3, 3, 4), (4, 4), Dataflow::Ws).module
+}
+
 /// The single-module workloads and their pinned counters: one point each
 /// from Fig. 9, Fig. 11 and the FIR study, plus engine microworkloads
 /// (Linalg and loop-heavy affine matmuls, tensor streaming, and
@@ -115,6 +121,16 @@ const COUNTER_ROWS: &[CounterRow] = &[
             generate_systolic(&spec, ConvDims::square(16, 2, 3, 1)).module
         },
         (690, 79, 117),
+    ),
+    (
+        "fig11_affine_ws_8",
+        || fig11_ws_8(Stage::Affine),
+        (23_328, 23_331, 38_805),
+    ),
+    (
+        "fig11_reassign_ws_8",
+        || fig11_ws_8(Stage::Reassign),
+        (15_627, 15_557, 70_273),
     ),
     (
         "fig11_last_stage_6x6",
