@@ -39,6 +39,13 @@ fn options(backend: Backend) -> SimOptions {
     }
 }
 
+fn traced(backend: Backend) -> SimOptions {
+    SimOptions {
+        trace: true,
+        ..options(backend)
+    }
+}
+
 /// Deterministic bounded options for programs that may diverge or explode:
 /// event/cycle budgets only — no wall deadline, which could make the two
 /// backends' outcomes differ by machine noise.
@@ -178,28 +185,97 @@ fn golden_scenarios_are_bit_identical_across_backends() {
     }
 }
 
+/// Traced runs fuse too, and record exactly the interpreter's waveform:
+/// every counter matches and the Chrome JSON is byte-identical.
+#[test]
+fn traced_runs_are_byte_identical_across_backends() {
+    let lib = SimLibrary::standard();
+    let golden = scenarios::golden_scenarios()
+        .into_iter()
+        .map(|s| (s.name, s.module));
+    for (name, module) in small_scenarios().into_iter().chain(golden) {
+        let fused = simulate_with(&module, &lib, &traced(Backend::Fused))
+            .unwrap_or_else(|e| panic!("{name} (fused, traced): {e}"));
+        let interp = simulate_with(&module, &lib, &traced(Backend::Interp))
+            .unwrap_or_else(|e| panic!("{name} (interp, traced): {e}"));
+        assert_reports_identical(name, &fused, &interp);
+        assert!(
+            fused.trace.to_chrome_json() == interp.trace.to_chrome_json(),
+            "{name}: traced Chrome JSON differs between backends \
+             ({} fused vs {} interp events)",
+            fused.trace.len(),
+            interp.trace.len()
+        );
+        if FIG11_LOOP_STAGES.iter().any(|&(n, ..)| n == name) {
+            assert!(fused.fused_trace_entries > 0, "{name}: no fused trace ran");
+        }
+    }
+}
+
 #[test]
 fn trace_enabled_runs_agree_with_fused_counters() {
-    // `trace: true` forces the interpreter (traces are emitted per op), but
-    // the simulated state must still match a quiet fused run exactly.
+    // Recording a trace must not change what the fused backend does: the
+    // same trace entries run and the simulated state matches a quiet run.
     let module = scenarios::matmul_affine(8);
     let lib = SimLibrary::standard();
-    let traced = simulate_with(
-        &module,
-        &lib,
-        &SimOptions {
-            trace: true,
-            backend: Backend::Fused,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let traced = simulate_with(&module, &lib, &traced(Backend::Fused)).unwrap();
     assert!(!traced.trace.is_empty(), "tracing must stay functional");
     let quiet = simulate_with(&module, &lib, &options(Backend::Fused)).unwrap();
-    assert_eq!(traced.cycles, quiet.cycles);
-    assert_eq!(traced.events_processed, quiet.events_processed);
-    assert_eq!(traced.ops_interpreted, quiet.ops_interpreted);
-    assert_eq!(traced.buffers, quiet.buffers);
+    assert_reports_identical("matmul8_affine (traced vs quiet)", &traced, &quiet);
+    assert!(quiet.fused_trace_entries > 0, "no fused trace ran");
+    assert_eq!(traced.fused_trace_entries, quiet.fused_trace_entries);
+}
+
+/// FNV-1a 64, used as a content hash.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Pins the traced Chrome JSON of two programs by byte length and FNV-1a
+/// hash under both backends: one trace mostly of interpreted ops and
+/// stalls, one mostly of fused `equeue.read`/`equeue.write` loops. A
+/// failure here is a change to the waveform or to its serialisation.
+#[test]
+fn traced_chrome_json_is_pinned() {
+    let fir = scenarios::golden_scenarios()
+        .into_iter()
+        .find(|s| s.name == "fir_single_core")
+        .expect("fir_single_core is a golden scenario")
+        .module;
+    let affine = build_stage_program(
+        Stage::Affine,
+        ConvDims::square(6, 3, 3, 4),
+        (4, 4),
+        Dataflow::Ws,
+    )
+    .module;
+    let lib = SimLibrary::standard();
+    for (name, module, len, sum) in [
+        ("fir_single_core", &fir, 215_981, 0xec62_7d23_8e2c_75ef),
+        (
+            "fig11_affine_ws_6",
+            &affine,
+            1_189_853,
+            0x9d36_360f_7301_5089,
+        ),
+    ] {
+        for backend in [Backend::Fused, Backend::Interp] {
+            let json = simulate_with(module, &lib, &traced(backend))
+                .unwrap_or_else(|e| panic!("{name} ({backend:?}): {e}"))
+                .trace
+                .to_chrome_json();
+            assert_eq!(
+                (json.len(), fnv1a(json.as_bytes())),
+                (len, sum),
+                "{name} ({backend:?})"
+            );
+        }
+    }
 }
 
 /// A program touching every surface the faults target (mirrors the core

@@ -23,6 +23,7 @@ use equeue_gen::scenarios::golden_scenarios;
 use equeue_gen::{build_stage_program, Stage};
 use equeue_ir::Module;
 use equeue_passes::Dataflow;
+use std::collections::BTreeMap;
 
 fn options(backend: Backend) -> SimOptions {
     SimOptions {
@@ -118,6 +119,37 @@ fn replay_is_bit_identical_across_cuts_and_backends() {
     }
 }
 
+/// Both backends pause at the same cycle: a fused trace caps its
+/// contention barrier at an armed cut, so it exits exactly where the
+/// interpreter would stop, never past it.
+#[test]
+fn fused_and_interp_snapshots_land_on_the_same_cut() {
+    for (name, module) in cut_grid() {
+        let compiled = CompiledModule::compile(module, SimLibrary::standard())
+            .unwrap_or_else(|e| panic!("{name}: compile: {e}"));
+        let full = compiled
+            .simulate(&options(Backend::Fused))
+            .unwrap_or_else(|e| panic!("{name}: full run: {e}"));
+        let mut cuts = cut_points(full.cycles);
+        cuts.extend([full.cycles / 3, full.cycles / 7 + 1]);
+        for cut in cuts {
+            let [fused, interp] = [Backend::Fused, Backend::Interp].map(|backend| {
+                compiled
+                    .snapshot(&SimOptions {
+                        snapshot_at: Some(cut),
+                        ..options(backend)
+                    })
+                    .unwrap_or_else(|e| panic!("{name}: {backend:?} snapshot at {cut}: {e}"))
+            });
+            assert_eq!(
+                (fused.actual_cut(), fused.completed()),
+                (interp.actual_cut(), interp.completed()),
+                "{name}: cut {cut} lands differently under Fused and Interp"
+            );
+        }
+    }
+}
+
 /// A snapshot taken past the end of the run records completion and
 /// resumes to the identical final report without re-executing anything.
 #[test]
@@ -153,9 +185,8 @@ fn resumed_trace_is_the_waveform_slice_from_the_cut() {
         backend,
         ..Default::default()
     };
-    for scenario in golden_scenarios() {
-        let name = scenario.name;
-        let compiled = CompiledModule::compile(scenario.module, SimLibrary::standard())
+    for (name, module) in cut_grid() {
+        let compiled = CompiledModule::compile(module, SimLibrary::standard())
             .unwrap_or_else(|e| panic!("{name}: compile: {e}"));
         let full = compiled
             .simulate(&traced(Backend::Fused))
@@ -172,6 +203,17 @@ fn resumed_trace_is_the_waveform_slice_from_the_cut() {
         let resumed = compiled
             .resume(&snap, &traced(Backend::Fused))
             .unwrap_or_else(|e| panic!("{name}: resume: {e}"));
+        if name == "fig11_affine_ws_6" {
+            // The traced window runs on fused traces: an interpreted
+            // resume only carries the snapshot's own entry count.
+            let interp = compiled
+                .resume(&snap, &options(Backend::Interp))
+                .unwrap_or_else(|e| panic!("{name}: interp resume: {e}"));
+            assert!(
+                resumed.fused_trace_entries > interp.fused_trace_entries,
+                "{name}: the traced resume entered no fused trace"
+            );
+        }
         // Nothing before the cut is re-recorded…
         for e in resumed.trace.events() {
             assert!(
@@ -189,16 +231,15 @@ fn resumed_trace_is_the_waveform_slice_from_the_cut() {
         // each row's resumed sequence must be a *suffix* of that row's
         // full-run sequence. (A row can be legitimately all-prefix — e.g.
         // a single analytic op issued before the cut.)
-        let by_tid = |events: &[equeue_core::TraceEvent]| {
-            let mut rows: std::collections::BTreeMap<String, Vec<equeue_core::TraceEvent>> =
-                std::collections::BTreeMap::new();
-            for e in events {
-                rows.entry(e.tid.clone()).or_default().push(e.clone());
+        fn by_tid(trace: &equeue_core::Trace) -> BTreeMap<&str, Vec<equeue_core::TraceEvent<'_>>> {
+            let mut rows: BTreeMap<&str, Vec<_>> = BTreeMap::new();
+            for e in trace.events() {
+                rows.entry(e.tid).or_default().push(e);
             }
             rows
-        };
-        let full_rows = by_tid(full.trace.events());
-        for (tid, row) in by_tid(resumed.trace.events()) {
+        }
+        let full_rows = by_tid(&full.trace);
+        for (tid, row) in by_tid(&resumed.trace) {
             let whole = full_rows
                 .get(&tid)
                 .unwrap_or_else(|| panic!("{name}: row {tid} absent from the full waveform"));

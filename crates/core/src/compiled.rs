@@ -172,8 +172,9 @@ impl CompiledModule {
     ///
     /// The capture lands at the first scheduler boundary at or after the
     /// requested cycle: every event strictly before it has been processed.
-    /// Under [`Backend::Fused`] a cut requested mid-trace lands at the next
-    /// trace exit (recorded in [`Snapshot::actual_cut`]). If the program
+    /// Both backends land on the same cycle ([`Snapshot::actual_cut`]): a
+    /// fused trace running across the cut exits at the first timed op at
+    /// or past it, where the interpreter would pause. If the program
     /// finishes before the cut, the snapshot records the terminal state and
     /// [`Snapshot::completed`] is `true`.
     ///
@@ -201,10 +202,11 @@ impl CompiledModule {
     /// wall-clock budget ([`crate::RunLimits::wall_deadline`]) restarts at
     /// the resume; cycle/event budgets continue from the captured counters.
     /// `options.snapshot_at` is ignored — a resumed run always runs to
-    /// completion. With `trace: true`, the report's waveform covers only
-    /// the resumed window: per trace row, a suffix of the full-run
-    /// waveform — work already executed or issued at capture time (e.g. a
-    /// DMA transfer in flight across the cut) belongs to the pre-cut leg.
+    /// completion. With `trace: true`, the resumed run still fuses, and
+    /// its waveform, identical under either backend, covers only the
+    /// resumed window: per trace row, a suffix of the full-run waveform —
+    /// work already executed or issued at capture time (e.g. a DMA
+    /// transfer in flight across the cut) belongs to the pre-cut leg.
     ///
     /// [`simulate`]: CompiledModule::simulate
     ///

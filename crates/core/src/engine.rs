@@ -78,9 +78,9 @@ pub enum Backend {
     /// bodies are pre-compiled at [`Plan::build`] time into dispatch-free
     /// traces (see [`crate::fused`]); everything else — and every loop the
     /// trace builder declines — runs on the interpreter. Counters
-    /// (cycles/events/ops) are bit-identical to [`Backend::Interp`].
-    /// Traces only engage when tracing is off; a trace-enabled run records
-    /// per-op events and therefore interprets op by op.
+    /// (cycles/events/ops) are bit-identical to [`Backend::Interp`], and
+    /// so is the operation-level trace: with tracing on, fused traces
+    /// record the same per-op events the interpreter records.
     #[default]
     Fused,
     /// Pure op-by-op interpretation — the escape hatch and the reference
@@ -92,8 +92,10 @@ pub enum Backend {
 #[derive(Debug, Clone)]
 pub struct SimOptions {
     /// Record an operation-level Chrome trace (disable for large sweeps).
-    /// When off, the engine skips all trace bookkeeping — no event
-    /// allocation and no string formatting on the hot path.
+    /// Either backend records the same, byte-identical waveform, and fused
+    /// traces stay on. When off, the engine skips all trace bookkeeping;
+    /// when on, each event is a small fixed-size record whose names are
+    /// interned ids.
     pub trace: bool,
     /// Resource budgets for this run (cycles, events, live tensor bytes,
     /// wall clock). Violations surface as [`SimError::Limit`].
@@ -1288,10 +1290,13 @@ pub(crate) struct Engine<'m> {
     pub(crate) idle_steps: u64,
     /// Absolute wall-clock deadline (run start + `wall_deadline`).
     pub(crate) deadline: Option<Instant>,
-    trace: Trace,
+    pub(crate) trace: Trace,
+    /// Each processor's trace row (its name interned in `trace`), filled
+    /// on the processor's first traced event.
+    trace_tids: Vec<Option<u32>>,
     pub(crate) host_mem: Option<CompId>,
-    /// Whether fused loop traces may run this run (backend is
-    /// [`Backend::Fused`] and tracing is off).
+    /// Whether fused loop traces may run this run (the backend is
+    /// [`Backend::Fused`]).
     fused_on: bool,
     /// Per-run fused-trace scratch (registers, costs, skip set).
     pub(crate) fused: crate::fused::FusedScratch,
@@ -1343,10 +1348,9 @@ impl<'m> Engine<'m> {
             } else {
                 Trace::disabled()
             },
+            trace_tids: vec![],
             host_mem: None,
-            // A trace-enabled run records per-op events, so it interprets
-            // op by op; fused traces engage only with tracing off.
-            fused_on: options.backend == Backend::Fused && !options.trace,
+            fused_on: options.backend == Backend::Fused,
             fused: crate::fused::FusedScratch::new(plan.fused.len()),
             snapshot_at: None,
             snapshot_due: false,
@@ -1719,14 +1723,15 @@ impl<'m> Engine<'m> {
         let data = self.machine.buffer(src).data.clone();
         self.machine.buffer_mut(dst).data = data;
         if self.trace.is_enabled() {
-            let tid = self.machine.name(self.procs[p].comp).to_string();
-            self.trace.record(
-                "equeue.memcpy",
+            let tid = self.trace_tid(p);
+            let name = self.trace.intern("equeue.memcpy");
+            self.trace.push(
+                name,
                 TraceCat::Operation,
                 start,
                 end - start,
-                "DMA",
-                &tid,
+                Trace::DMA,
+                tid,
             );
         }
         self.bump_horizon(end);
@@ -2410,15 +2415,8 @@ impl<'m> Engine<'m> {
                 }
                 let end = clock.saturating_add(cycles);
                 if self.trace.is_enabled() {
-                    let tid = self.machine.name(self.procs[p].comp).to_string();
-                    self.trace.record(
-                        signature(),
-                        TraceCat::Operation,
-                        clock,
-                        cycles,
-                        "Processor",
-                        &tid,
-                    );
+                    let tid = self.trace_tid(p);
+                    self.trace_op(tid, signature(), clock, cycles);
                 }
                 self.advance(p, end)
             }
@@ -2547,9 +2545,8 @@ impl<'m> Engine<'m> {
                     }
                 };
                 if cycles > 0 && self.trace.is_enabled() {
-                    let tid = self.machine.name(self.procs[p].comp).to_string();
-                    self.trace
-                        .record(name, TraceCat::Operation, clock, cycles, "Processor", &tid);
+                    let tid = self.trace_tid(p);
+                    self.trace_op(tid, name, clock, cycles);
                 }
                 self.advance(p, clock + cycles)
             }
@@ -2562,6 +2559,67 @@ impl<'m> Engine<'m> {
                 "op '{name}' is not simulatable"
             ))),
         }
+    }
+
+    /// Processor `p`'s trace row: its name, interned on its first event.
+    pub(crate) fn trace_tid(&mut self, p: usize) -> u32 {
+        if let Some(&Some(id)) = self.trace_tids.get(p) {
+            return id;
+        }
+        let id = self.trace.intern(self.machine.name(self.procs[p].comp));
+        if self.trace_tids.len() <= p {
+            self.trace_tids.resize(p + 1, None);
+        }
+        self.trace_tids[p] = Some(id);
+        id
+    }
+
+    /// Records op `name` on trace row `tid` from `clock` for `cycles`.
+    pub(crate) fn trace_op(&mut self, tid: u32, name: &str, clock: u64, cycles: u64) {
+        let name = self.trace.intern(name);
+        self.trace.push(
+            name,
+            TraceCat::Operation,
+            clock,
+            cycles,
+            Trace::PROCESSOR,
+            tid,
+        );
+    }
+
+    /// Records a timed memory access on row `tid`: the stall slot (the
+    /// schedule-queue wait from `start` to `astart`, if any), then the
+    /// access itself from `astart` to `end`.
+    pub(crate) fn trace_access(
+        &mut self,
+        tid: u32,
+        kind: AccessKind,
+        start: u64,
+        astart: u64,
+        end: u64,
+    ) {
+        if astart > start {
+            self.trace.push(
+                Trace::STALL,
+                TraceCat::Stall,
+                start,
+                astart - start,
+                Trace::PROCESSOR,
+                tid,
+            );
+        }
+        let name = match kind {
+            AccessKind::Read => Trace::READ,
+            AccessKind::Write => Trace::WRITE,
+        };
+        self.trace.push(
+            name,
+            TraceCat::Operation,
+            astart,
+            end - astart,
+            Trace::PROCESSOR,
+            tid,
+        );
     }
 
     /// A timed read/write of a buffer: reserves the memory's schedule queue
@@ -2635,29 +2693,8 @@ impl<'m> Engine<'m> {
 
         // Trace: stall slot (schedule-queue wait) then the operation slot.
         if end > start && self.trace.is_enabled() {
-            let tid = self.machine.name(self.procs[p].comp).to_string();
-            if astart > start {
-                self.trace.record(
-                    "stall",
-                    TraceCat::Stall,
-                    start,
-                    astart - start,
-                    "Processor",
-                    &tid,
-                );
-            }
-            let opname = match kind {
-                AccessKind::Read => "equeue.read",
-                AccessKind::Write => "equeue.write",
-            };
-            self.trace.record(
-                opname,
-                TraceCat::Operation,
-                astart,
-                end - astart,
-                "Processor",
-                &tid,
-            );
+            let tid = self.trace_tid(p);
+            self.trace_access(tid, kind, start, astart, end);
         }
         Ok((out, end))
     }
@@ -2730,15 +2767,8 @@ impl<'m> Engine<'m> {
             }
         }
         if self.trace.is_enabled() {
-            let tid = self.machine.name(self.procs[p].comp).to_string();
-            self.trace.record(
-                "linalg.conv2d",
-                TraceCat::Operation,
-                clock,
-                cycles,
-                "Processor",
-                &tid,
-            );
+            let tid = self.trace_tid(p);
+            self.trace_op(tid, "linalg.conv2d", clock, cycles);
         }
         self.advance(p, clock.saturating_add(cycles))
     }
@@ -2799,15 +2829,8 @@ impl<'m> Engine<'m> {
         let clock = self.procs[p].clock;
         let cycles = (mac_count as u64).saturating_mul(self.lib.linalg_cycles_per_mac);
         if self.trace.is_enabled() {
-            let tid = self.machine.name(self.procs[p].comp).to_string();
-            self.trace.record(
-                "linalg.matmul",
-                TraceCat::Operation,
-                clock,
-                cycles,
-                "Processor",
-                &tid,
-            );
+            let tid = self.trace_tid(p);
+            self.trace_op(tid, "linalg.matmul", clock, cycles);
         }
         self.advance(p, clock.saturating_add(cycles))
     }
@@ -3266,9 +3289,8 @@ mod tests {
             let ops: Vec<(&str, u64, u64)> = report
                 .trace
                 .events()
-                .iter()
                 .filter(|e| e.cat == TraceCat::Operation)
-                .map(|e| (e.name.as_str(), e.ts, e.dur))
+                .map(|e| (e.name, e.ts, e.dur))
                 .collect();
             assert_eq!(ops, vec![("mac", 0, 1), ("skew", 1, 3), ("mul4", 4, 1)]);
             assert_eq!(report.cycles, 5);

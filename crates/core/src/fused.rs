@@ -672,6 +672,7 @@ impl<'m> Engine<'m> {
         // ---- preflight: validate the live machine state against the
         // trace's compile-time assumptions; any mismatch declines. ----
         let entry_idx;
+        let block;
         let mut iv;
         {
             let Some(scope) = frame.stack.last() else {
@@ -688,6 +689,7 @@ impl<'m> Engine<'m> {
                 return Ok(None);
             }
             entry_idx = scope.idx;
+            block = scope.block;
             iv = state.current[0];
         }
 
@@ -796,6 +798,8 @@ impl<'m> Engine<'m> {
         let mut pos = f
             .insts
             .partition_point(|i| (i.op_pos() as usize) < entry_idx);
+        let tracing = self.trace.is_enabled();
+        let tid = if tracing { self.trace_tid(p) } else { 0 };
 
         let exit = 'run: loop {
             while pos < f.insts.len() {
@@ -818,8 +822,14 @@ impl<'m> Engine<'m> {
                             Err(msg) => break 'run Exit::Fail(SimError::Runtime(msg)),
                         };
                         match self.fused_access(b, AccessKind::Read, flat, clock) {
-                            Ok(finish) if *mem_timed => cost = finish - clock,
-                            Ok(_) => {}
+                            Ok(access) => {
+                                if *mem_timed {
+                                    cost = access.1 - clock;
+                                }
+                                if tracing {
+                                    self.fused_trace_access(tid, AccessKind::Read, clock, access);
+                                }
+                            }
                             Err(e) => break 'run Exit::Fail(e),
                         }
                         match self.machine.buffer(b.buf).data.data.int_at(flat) {
@@ -846,8 +856,14 @@ impl<'m> Engine<'m> {
                             Err(msg) => break 'run Exit::Fail(SimError::Runtime(msg)),
                         };
                         match self.fused_access(b, AccessKind::Write, flat, clock) {
-                            Ok(finish) if *mem_timed => cost = finish - clock,
-                            Ok(_) => {}
+                            Ok(access) => {
+                                if *mem_timed {
+                                    cost = access.1 - clock;
+                                }
+                                if tracing {
+                                    self.fused_trace_access(tid, AccessKind::Write, clock, access);
+                                }
+                            }
                             Err(e) => break 'run Exit::Fail(e),
                         }
                         let v = s.regs[*src as usize];
@@ -858,11 +874,24 @@ impl<'m> Engine<'m> {
                         }
                     }
                     FusedInst::Bin {
-                        op, lhs, rhs, dst, ..
-                    } => match op.int(s.regs[*lhs as usize], s.regs[*rhs as usize]) {
-                        Ok(v) => s.regs[*dst as usize] = v,
-                        Err(msg) => break 'run Exit::Fail(SimError::Runtime(msg)),
-                    },
+                        op,
+                        lhs,
+                        rhs,
+                        dst,
+                        op_pos,
+                        ..
+                    } => {
+                        match op.int(s.regs[*lhs as usize], s.regs[*rhs as usize]) {
+                            Ok(v) => s.regs[*dst as usize] = v,
+                            Err(msg) => break 'run Exit::Fail(SimError::Runtime(msg)),
+                        }
+                        if tracing && cost > 0 {
+                            let module: &'m Module = self.module;
+                            if let Some(&id) = module.block(block).ops.get(*op_pos as usize) {
+                                self.trace_op(tid, &module.op(id).name, clock, cost);
+                            }
+                        }
+                    }
                     FusedInst::Cmp {
                         pred,
                         lhs,
@@ -1011,12 +1040,12 @@ impl<'m> Engine<'m> {
         }
     }
 
-    /// Accounts one element access of `b` at `clock` and returns when it
-    /// finishes. Timed memories take the exact per-access port reservation
-    /// and traffic accounting of [`Memory::access`](crate::Memory::access),
-    /// so the finish includes any wait for a port another processor holds;
-    /// zero-latency memories only bump the batched counters and finish at
-    /// `clock`.
+    /// Accounts one element access of `b` at `clock` and returns
+    /// [`Memory::access`](crate::Memory::access)'s `(start, finish, model
+    /// cycles)`. Timed memories take its exact per-access port reservation
+    /// and traffic accounting, so the finish includes any wait for a port
+    /// another processor holds; zero-latency memories only bump the batched
+    /// counters and return `(clock, clock, 0)`.
     #[inline]
     fn fused_access(
         &mut self,
@@ -1024,20 +1053,35 @@ impl<'m> Engine<'m> {
         kind: AccessKind,
         flat: usize,
         clock: u64,
-    ) -> Result<u64, SimError> {
+    ) -> Result<(u64, u64, u64), SimError> {
         if b.cost == 0 {
             match kind {
                 AccessKind::Read => b.reads += 1,
                 AccessKind::Write => b.writes += 1,
             }
-            return Ok(clock);
+            return Ok((clock, clock, 0));
         }
         let m = self
             .machine
             .memory_mut(b.mem)
             .ok_or_else(|| SimError::Runtime("internal: buffer not backed by a memory".into()))?;
-        let (_, finish, _) = m.access(kind, b.base_addr + flat, 1, b.elem_bytes, clock);
-        Ok(finish)
+        Ok(m.access(kind, b.base_addr + flat, 1, b.elem_bytes, clock))
+    }
+
+    /// Records a fused access exactly as `access_buffer` records it: only
+    /// if it ends after `clock`, starting at the memory's start when the
+    /// model charged cycles.
+    fn fused_trace_access(
+        &mut self,
+        tid: u32,
+        kind: AccessKind,
+        clock: u64,
+        (mstart, finish, cycles): (u64, u64, u64),
+    ) {
+        if finish > clock {
+            let astart = if cycles > 0 { mstart } else { clock };
+            self.trace_access(tid, kind, clock, astart, finish);
+        }
     }
 
     /// `Progress` from trace-local counters (the engine's own counters are

@@ -20,9 +20,10 @@
 //! * [`Machine`] — the elaborated component/buffer/connection model with
 //!   schedule queues for contention.
 //! * [`Trace`] — operation-level tracing in Chrome Trace Event Format
-//!   (§IV-B), visualisable in `chrome://tracing`. With
-//!   [`SimOptions`] `trace: false`, the disabled path is zero-cost: no
-//!   event allocation and no string formatting happen on the hot loop.
+//!   (§IV-B), visualisable in `chrome://tracing`. Traced runs keep the
+//!   fused backend on and record the interpreter's exact waveform; events
+//!   are fixed-size records naming interned strings. With [`SimOptions`]
+//!   `trace: false`, the disabled path records nothing.
 //!
 //! ## Hot-path architecture (dense frames + copy-on-write values)
 //!

@@ -150,11 +150,11 @@ impl Snapshot {
     }
 
     /// The cycle the capture actually landed on: the time of the next
-    /// unprocessed event (every event strictly before it has run). Under
-    /// the fused backend a cut requested mid-trace lands at the next trace
-    /// exit, so this can exceed [`requested_cut`](Snapshot::requested_cut);
-    /// if the program finished before the cut it equals the final cycle
-    /// count.
+    /// unprocessed event (every event strictly before it has run), so it
+    /// can exceed [`requested_cut`](Snapshot::requested_cut). Both backends
+    /// land on the same cycle: a fused trace exits at the first timed op
+    /// at or past the cut. If the program finished before the cut it
+    /// equals the final cycle count.
     pub fn actual_cut(&self) -> u64 {
         self.actual_cut
     }

@@ -314,7 +314,6 @@ mod tests {
         let first_last_stage = report
             .trace
             .events()
-            .iter()
             .filter(|e| e.tid == "AIE15" && e.name == "mac4")
             .map(|e| e.ts)
             .min()
@@ -331,7 +330,6 @@ mod tests {
         let busy: u64 = report
             .trace
             .events()
-            .iter()
             .filter(|e| e.tid == "AIE7")
             .map(|e| e.dur)
             .sum();
@@ -355,7 +353,6 @@ mod tests {
         let busy: u64 = report
             .trace
             .events()
-            .iter()
             .filter(|e| e.tid == "AIE1")
             .map(|e| e.dur)
             .sum();

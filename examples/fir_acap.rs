@@ -42,7 +42,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let busy: u64 = report
                     .trace
                     .events()
-                    .iter()
                     .filter(|e| e.tid == "AIE7")
                     .map(|e| e.dur)
                     .sum();

@@ -92,7 +92,6 @@ fn both_pes_run_in_parallel() {
         report
             .trace
             .events()
-            .iter()
             .filter(|e| e.tid == tid)
             .map(|e| e.ts)
             .min()
